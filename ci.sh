@@ -77,6 +77,10 @@ echo "    determinism across CTG_WORKERS x CTG_INTRA_SOLVE)"
 cargo test -q --offline --test scheduler_portfolio
 CTG_WORKERS=2 CTG_INTRA_SOLVE=2 cargo test -q --offline --test scheduler_portfolio
 
+echo "==> expected-energy oracle (weights == historic scan bit-for-bit, per-scenario"
+echo "    agreement) and the portfolio matrix with 2 intra-solve workers forced"
+CTG_INTRA_SOLVE=2 cargo test -q --offline --test expected_energy_oracle --test scheduler_portfolio
+
 echo "==> portfolio bench smoke (serve bench portfolio row: expected-energy"
 echo "    no-regression gate vs DLS-only + reshard determinism, asserted in-bin;"
 echo "    table1 asserts portfolio <= online on every row)"

@@ -12,7 +12,7 @@
 use crate::cache::{LruCache, ScheduleKey};
 use crate::context::SchedContext;
 use crate::error::SchedError;
-use crate::online::{OnlineScheduler, Solution};
+use crate::online::{OnlineScheduler, Solution, SCHEDULABILITY_TOL};
 use crate::scheduler::{race_portfolio, PortfolioStats, SchedulerKind};
 use crate::speed::SpeedAssignment;
 use crate::workspace::{SolverWorkspace, WorkspaceStats};
@@ -598,10 +598,12 @@ impl AdaptiveScheduler {
     /// adopt a plan with higher expected energy than DLS alone. Guard-banded
     /// resilient solves (`deadline_guard < 1.0`) intentionally stay
     /// DLS-only — the degradation ladder's contract predates the portfolio
-    /// — and a budgeted workspace only constrains the DLS entry (the other
-    /// entries run cold, outside the metered pipeline). The construction
-    /// solve already happened, so the incumbent plan is unchanged until the
-    /// next drift event.
+    /// — and a budgeted workspace only constrains the DLS entry. Every entry
+    /// gets its own workspace, but only the DLS entry reads it: the other
+    /// kinds run a cold list pass and a cold stretch on every race, so a
+    /// race costs several warm DLS solves (DESIGN.md §18.2). The
+    /// construction solve already happened, so the incumbent plan is
+    /// unchanged until the next drift event.
     ///
     /// # Errors
     ///
@@ -902,7 +904,7 @@ impl AdaptiveScheduler {
                     .ctg()
                     .deadline()
                     .max(self.solution.worst_case_makespan(ctx))
-                    + 1e-6;
+                    + SCHEDULABILITY_TOL;
                 if candidate_wcm > bar {
                     ObserveOutcome::RejectedWorse {
                         worst_case: candidate_wcm,

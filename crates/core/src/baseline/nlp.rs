@@ -84,10 +84,11 @@ pub fn nlp_stretch(
     let wcet: Vec<f64> = (0..n)
         .map(|t| profile.wcet(t, schedule.pe_of(TaskId::new(t))))
         .collect();
+    let weights = ctx.activation_weights(probs);
     let coeff: Vec<f64> = (0..n)
         .map(|t| {
             let tid = TaskId::new(t);
-            ctx.task_prob(tid, probs) * profile.energy(t, schedule.pe_of(tid)) * wcet[t] * wcet[t]
+            weights.task(tid) * profile.energy(t, schedule.pe_of(tid)) * wcet[t] * wcet[t]
         })
         .collect();
     // Fixed (communication) part of each path's delay.

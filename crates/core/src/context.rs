@@ -1,7 +1,7 @@
 //! Shared scheduling context: graph, platform and cached analyses.
 
 use crate::error::SchedError;
-use ctg_model::{Activation, BranchProbs, Ctg, Dnf, ScenarioSet, TaskId};
+use ctg_model::{Activation, BranchProbs, Ctg, EdgeId, ScenarioSet, TaskId};
 use mpsoc_platform::Platform;
 
 /// A set of runtime scenarios, stored as a bitmask over the context's
@@ -308,6 +308,10 @@ pub struct SchedContext {
     scenarios: ScenarioSet,
     mutex: Vec<bool>, // row-major n×n mutual-exclusion matrix
     task_masks: Vec<ScenarioMask>,
+    /// Per CTG edge: the scenarios in which both endpoints run, or `None`
+    /// when both endpoint conditions are the constant `true` (weight
+    /// exactly 1.0, whatever the scenario probabilities sum to).
+    edge_masks: Vec<Option<ScenarioMask>>,
     literal_masks: Vec<Vec<ScenarioMask>>, // [branch index][alt]
     compiled: CompiledGraph,
 }
@@ -356,6 +360,17 @@ impl SchedContext {
                 }
             }
         }
+        let edge_masks = ctg
+            .edges()
+            .map(|(_, e)| {
+                let (src, dst) = (e.src(), e.dst());
+                if act.condition(src).is_true() && act.condition(dst).is_true() {
+                    None
+                } else {
+                    Some(task_masks[src.index()].and(&task_masks[dst.index()]))
+                }
+            })
+            .collect();
         let mut literal_masks: Vec<Vec<ScenarioMask>> = ctg
             .branch_nodes()
             .iter()
@@ -376,6 +391,7 @@ impl SchedContext {
             scenarios,
             mutex,
             task_masks,
+            edge_masks,
             literal_masks,
             compiled,
         })
@@ -464,30 +480,64 @@ impl SchedContext {
         &self.scenarios
     }
 
-    /// Activation probability `prob(τ)` under `probs`.
-    pub fn task_prob(&self, task: TaskId, probs: &BranchProbs) -> f64 {
-        self.scenarios.task_prob(task, probs)
-    }
-
-    /// Probability that a condition in DNF holds, computed exactly over the
-    /// scenario enumeration.
-    pub fn dnf_prob(&self, dnf: &Dnf, probs: &BranchProbs) -> f64 {
-        if dnf.is_true() {
-            return 1.0;
+    /// Activation weights of every task and edge under `probs`: one pass
+    /// over the scenarios for their probabilities, then one
+    /// [`SchedContext::mask_prob`] per task and per edge.
+    pub fn activation_weights(&self, probs: &BranchProbs) -> ActivationWeights {
+        let scenario_probs = self.scenario_probs(probs);
+        ActivationWeights {
+            tasks: self
+                .task_masks
+                .iter()
+                .map(|m| self.mask_prob(m, &scenario_probs))
+                .collect(),
+            edges: self
+                .edge_masks
+                .iter()
+                .map(|m| {
+                    m.as_ref()
+                        .map_or(1.0, |m| self.mask_prob(m, &scenario_probs))
+                })
+                .collect(),
         }
-        self.scenarios
-            .scenarios()
-            .iter()
-            .filter(|s| dnf.eval(|b| s.cube().alt_of(b)))
-            .map(|s| s.probability(probs))
-            .sum()
+    }
+}
+
+/// Activation weights under one branch-probability table: the probability
+/// that each task runs (`prob(τ)`) and that each CTG edge transfers data
+/// (`prob(τi ∧ τj)`, both endpoints active).
+///
+/// Every weight is a sum over the context's scenario masks in ascending
+/// scenario index, so it carries the same bits as a filter over the
+/// scenario enumeration. Build it once per table with
+/// [`SchedContext::activation_weights`] and price any number of plans
+/// against it (see [`crate::expected_energy_weighted`]). An edge whose two
+/// endpoints are both unconditional weighs exactly 1.0.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ActivationWeights {
+    tasks: Vec<f64>,
+    edges: Vec<f64>,
+}
+
+impl ActivationWeights {
+    /// Activation probability of `task`.
+    pub fn task(&self, task: TaskId) -> f64 {
+        self.tasks[task.index()]
     }
 
-    /// Probability that both endpoint tasks of an edge are active (the
-    /// probability the data transfer actually happens).
-    pub fn edge_prob(&self, src: TaskId, dst: TaskId, probs: &BranchProbs) -> f64 {
-        let both = self.act.condition(src).and(self.act.condition(dst));
-        self.dnf_prob(&both, probs)
+    /// Probability that both endpoints of `edge` are active.
+    pub fn edge(&self, edge: EdgeId) -> f64 {
+        self.edges[edge.index()]
+    }
+
+    /// Number of tasks weighed.
+    pub fn num_tasks(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// Number of edges weighed.
+    pub fn num_edges(&self) -> usize {
+        self.edges.len()
     }
 }
 
@@ -571,20 +621,37 @@ mod tests {
     }
 
     #[test]
-    fn dnf_prob_matches_scenarios() {
+    fn task_weights_match_scenarios() {
         let (ctx, probs, ids) = example1_context();
-        let x6 = ctx.activation().condition(ids[5]).clone();
+        let w = ctx.activation_weights(&probs);
+        assert_eq!(w.num_tasks(), 8);
         // X(τ6) = a2·b1 → 0.5 · 0.5 = 0.25 under uniform probabilities.
-        assert!((ctx.dnf_prob(&x6, &probs) - 0.25).abs() < 1e-12);
-        assert!((ctx.dnf_prob(&Dnf::top(), &probs) - 1.0).abs() < 1e-12);
+        assert!((w.task(ids[5]) - 0.25).abs() < 1e-12);
+        assert!((w.task(ids[0]) - 1.0).abs() < 1e-12);
+        for t in ctx.ctg().tasks() {
+            assert_eq!(
+                w.task(t).to_bits(),
+                ctx.scenarios().task_prob(t, &probs).to_bits()
+            );
+        }
     }
 
     #[test]
-    fn edge_prob_combines_endpoints() {
+    fn edge_weights_combine_endpoints() {
         let (ctx, probs, ids) = example1_context();
+        let w = ctx.activation_weights(&probs);
+        assert_eq!(w.num_edges(), ctx.ctg().num_edges());
+        let edge = |src: TaskId, dst: TaskId| {
+            let (id, _) = ctx
+                .ctg()
+                .edges()
+                .find(|(_, e)| e.src() == src && e.dst() == dst)
+                .expect("edge exists");
+            w.edge(id)
+        };
         // τ5 (a2) → τ6 (a2·b1): transfer happens with prob 0.25.
-        assert!((ctx.edge_prob(ids[4], ids[5], &probs) - 0.25).abs() < 1e-12);
-        // τ1 → τ2 always transfers.
-        assert!((ctx.edge_prob(ids[0], ids[1], &probs) - 1.0).abs() < 1e-12);
+        assert!((edge(ids[4], ids[5]) - 0.25).abs() < 1e-12);
+        // τ1 → τ2 always transfers, with weight exactly 1.
+        assert_eq!(edge(ids[0], ids[1]), 1.0);
     }
 }

@@ -82,7 +82,7 @@ pub use adaptive::{
 pub use budget::WorkMeter;
 pub use cache::{LruCache, ScheduleKey};
 pub use context::CompiledGraph;
-pub use context::{ScenarioMask, SchedContext};
+pub use context::{ActivationWeights, ScenarioMask, SchedContext};
 pub use dls::{
     dls_schedule, dls_with_levels, dls_with_levels_metered, dls_with_levels_par,
     list_schedule_fixed,
@@ -97,7 +97,7 @@ pub use scheduler::{
     DEFAULT_PORTFOLIO, FRAME_SPEED_LEVELS,
 };
 pub use sgraph::{SEdge, SEdgeKind, SPath, ScheduledGraph, DEFAULT_PATH_CAP};
-pub use speed::{expected_energy, SpeedAssignment};
+pub use speed::{expected_energy, expected_energy_weighted, SpeedAssignment};
 pub use static_level::{delta, static_levels, worst_case_levels};
 pub use stretch::{stretch_schedule, stretch_schedule_seeded, StretchConfig};
 pub use validate::{validate_schedule, validate_solution, ScheduleViolation};

@@ -8,6 +8,12 @@ use crate::speed::{expected_energy, SpeedAssignment};
 use crate::stretch::{stretch_schedule, StretchConfig};
 use ctg_model::BranchProbs;
 
+/// How far a worst-case makespan may exceed its bar (the deadline, or an
+/// incumbent's makespan) and still count as meeting it. The portfolio
+/// race's schedulability test and the adaptive manager's adoption judge
+/// both read it, so they can never disagree on a plan.
+pub(crate) const SCHEDULABILITY_TOL: f64 = 1e-6;
+
 /// A complete scheduling/DVFS solution: mapping + order + per-task speeds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {

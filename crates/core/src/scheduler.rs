@@ -36,16 +36,18 @@
 //! Determinism: every implementor is a pure function of
 //! `(ctx, probs, configuration)`. The DLS entry reuses the workspace's
 //! warm-start layers (whose warm == cold contract is pinned in
-//! `tests/solver_equivalence.rs`); the other implementors run cold each
-//! call — their list passes are linear-ish and need no amortisation — and
-//! simply ignore the workspace.
+//! `tests/solver_equivalence.rs`); the other implementors ignore the
+//! workspace and run cold each call. Their list passes are cheap, but each
+//! is followed by a full cold stretch (path enumeration plus the slack
+//! sweeps), and those cold stretches are most of a race's solve time
+//! (DESIGN.md §18.2 has the measured breakdown).
 
 use crate::context::SchedContext;
 use crate::dls::{dls_schedule, earliest_start};
 use crate::error::SchedError;
-use crate::online::{OnlineScheduler, Solution};
+use crate::online::{OnlineScheduler, Solution, SCHEDULABILITY_TOL};
 use crate::schedule::Schedule;
-use crate::speed::SpeedAssignment;
+use crate::speed::{expected_energy_weighted, SpeedAssignment};
 use crate::static_level::static_levels;
 use crate::stretch::{stretch_schedule, StretchConfig};
 use crate::workspace::SolverWorkspace;
@@ -620,8 +622,11 @@ pub struct RaceOutcome {
 /// verdict is then a **sequential fold in entry order**:
 ///
 /// 1. among candidates whose worst-case makespan is within the deadline
-///    (`wcm <= deadline + 1e-6`, the adaptive manager's judge), the
-///    strictly lowest expected energy wins — ties keep the earliest entry;
+///    (`wcm <= deadline + 1e-6`, the tolerance of the adaptive manager's
+///    judge), the strictly lowest expected energy wins — ties keep the
+///    earliest entry. Every candidate is priced against one set of
+///    [`crate::ActivationWeights`] built per race, and the winner's energy
+///    is the one the fold computed;
 /// 2. if no candidate is schedulable, the strictly lowest worst-case
 ///    makespan wins (degrade like a failed resilient solve would, with
 ///    the least-bad plan);
@@ -678,14 +683,17 @@ pub fn race_portfolio(
             .collect()
     };
 
+    // Every candidate is priced against the same table, so its activation
+    // weights are derived once per race rather than once per candidate.
+    let weights = ctx.activation_weights(probs);
     let deadline = ctx.ctg().deadline();
     let mut best: Option<(usize, f64)> = None; // schedulable: (entry, energy)
     let mut fallback: Option<(usize, f64)> = None; // none schedulable: (entry, wcm)
     for (i, r) in results.iter().enumerate() {
         let Ok(sol) = r else { continue };
         let wcm = sol.worst_case_makespan(ctx);
-        if wcm <= deadline + 1e-6 {
-            let e = sol.expected_energy(ctx, probs);
+        if wcm <= deadline + SCHEDULABILITY_TOL {
+            let e = expected_energy_weighted(ctx, &weights, &sol.schedule, &sol.speeds);
             if best.is_none_or(|(_, be)| e < be) {
                 best = Some((i, e));
             }
@@ -693,30 +701,34 @@ pub fn race_portfolio(
             fallback = Some((i, wcm));
         }
     }
-    let winner = best.or(fallback);
-    match winner {
-        Some((i, _)) => {
-            span.end(i as i64);
-            let solution = results
-                .into_iter()
-                .nth(i)
-                .expect("winner index in range")
-                .expect("winner solved");
-            let energy = solution.expected_energy(ctx, probs);
-            Ok(RaceOutcome {
-                winner: i,
-                solution,
-                energy,
-            })
-        }
-        None => {
-            span.end(-1);
-            Err(results
-                .into_iter()
-                .find_map(Result::err)
-                .expect("no winner means every entry errored"))
-        }
-    }
+    let winner = best.or_else(|| {
+        fallback.map(|(i, _)| {
+            let sol = results[i].as_ref().expect("fallback entry solved");
+            (
+                i,
+                expected_energy_weighted(ctx, &weights, &sol.schedule, &sol.speeds),
+            )
+        })
+    });
+    let Some((i, energy)) = winner else {
+        span.end(-1);
+        return Err(results
+            .into_iter()
+            .find_map(Result::err)
+            .expect("no winner means every entry errored"));
+    };
+    let solution = results
+        .into_iter()
+        .nth(i)
+        .expect("winner index in range")
+        .expect("winner solved");
+    let outcome = RaceOutcome {
+        winner: i,
+        solution,
+        energy,
+    };
+    span.end(i as i64);
+    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Per-task speed assignments and energy evaluation.
 
-use crate::context::SchedContext;
+use crate::context::{ActivationWeights, SchedContext};
 use crate::schedule::Schedule;
 use ctg_model::{BranchProbs, TaskId};
 
@@ -66,26 +66,42 @@ impl SpeedAssignment {
 /// `Σ_τ prob(τ) · E(τ, pe(τ)) · s_τ²  +  Σ_(i,j) prob(τi ∧ τj) · E_tr(comm)`
 ///
 /// Communication is never voltage-scaled; intra-PE transfers are free.
+/// Pricing several plans under one table? Build the table's
+/// [`ActivationWeights`] once and call [`expected_energy_weighted`].
 pub fn expected_energy(
     ctx: &SchedContext,
     probs: &BranchProbs,
     schedule: &Schedule,
     speeds: &SpeedAssignment,
 ) -> f64 {
+    expected_energy_weighted(ctx, &ctx.activation_weights(probs), schedule, speeds)
+}
+
+/// [`expected_energy`] against precomputed activation weights of the
+/// table (from [`SchedContext::activation_weights`] on the same context):
+/// the same bits, without re-deriving any probability.
+pub fn expected_energy_weighted(
+    ctx: &SchedContext,
+    weights: &ActivationWeights,
+    schedule: &Schedule,
+    speeds: &SpeedAssignment,
+) -> f64 {
+    debug_assert_eq!(weights.num_tasks(), ctx.ctg().num_tasks());
+    debug_assert_eq!(weights.num_edges(), ctx.ctg().num_edges());
     let platform = ctx.platform();
     let mut total = 0.0;
     for t in ctx.ctg().tasks() {
-        let p = ctx.task_prob(t, probs);
-        total += p * platform.exec_energy(t.index(), schedule.pe_of(t), speeds.speed(t));
+        total +=
+            weights.task(t) * platform.exec_energy(t.index(), schedule.pe_of(t), speeds.speed(t));
     }
-    for (_, e) in ctx.ctg().edges() {
-        let (src, dst) = (e.src(), e.dst());
-        let energy =
-            platform
-                .comm()
-                .energy(schedule.pe_of(src), schedule.pe_of(dst), e.comm_kbytes());
+    for (id, e) in ctx.ctg().edges() {
+        let energy = platform.comm().energy(
+            schedule.pe_of(e.src()),
+            schedule.pe_of(e.dst()),
+            e.comm_kbytes(),
+        );
         if energy > 0.0 {
-            total += ctx.edge_prob(src, dst, probs) * energy;
+            total += weights.edge(id) * energy;
         }
     }
     total

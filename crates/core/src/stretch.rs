@@ -411,14 +411,7 @@ pub(crate) fn stretch_on_graph(
     }
     scratch.task_probs.clear();
     for t in ctx.ctg().tasks() {
-        let p: f64 = ctx
-            .scenarios()
-            .scenarios()
-            .iter()
-            .zip(&scratch.scenario_probs)
-            .filter(|(s, _)| s.is_active(t))
-            .map(|(_, &sp)| sp)
-            .sum();
+        let p = ctx.mask_prob(ctx.task_mask(t), &scratch.scenario_probs);
         scratch.task_probs.push(p);
     }
     scratch.delays.clear();
@@ -627,7 +620,8 @@ pub(crate) fn critical_path_fallback(
     schedule: &Schedule,
     cfg: &StretchConfig,
 ) -> SpeedAssignment {
-    proportional_stretch(ctx, schedule, cfg, &|t| ctx.task_prob(t, probs), true)
+    let weights = ctx.activation_weights(probs);
+    proportional_stretch(ctx, schedule, cfg, &|t| weights.task(t), true)
 }
 
 /// Critical-path proportional slack distribution.
