@@ -16,6 +16,11 @@ cargo test -q --workspace --offline
 echo "==> parallel determinism matrix (2 workers forced)"
 CTG_WORKERS=2 cargo test -q --offline --test parallel_determinism
 
+echo "==> simulator golden pins (every simulator variant and runner configuration,"
+echo "    bit for bit; plain and with 2 workers forced)"
+cargo test -q --offline --test sim_golden
+CTG_WORKERS=2 cargo test -q --offline --test sim_golden
+
 echo "==> throughput smoke (2 workers)"
 cargo build -q --release --offline -p ctg-bench --bin throughput
 CTG_WORKERS=2 ./target/release/throughput --smoke

@@ -92,9 +92,9 @@ pub use online::{OnlineScheduler, Solution};
 pub use par::{intra_solve_workers, INTRA_SOLVE_ENV};
 pub use schedule::Schedule;
 pub use scheduler::{
-    parse_scheduler_selection, race_portfolio, CtgScheduler, DlsScheduler, FrameDvfsScheduler,
-    HeftScheduler, LookaheadScheduler, PortfolioStats, RaceOutcome, SchedulerKind,
-    DEFAULT_PORTFOLIO, FRAME_SPEED_LEVELS,
+    parse_scheduler_selection, race_portfolio, CtgScheduler, FrameDvfsScheduler, HeftScheduler,
+    LookaheadScheduler, PortfolioStats, RaceOutcome, SchedulerKind, DEFAULT_PORTFOLIO,
+    FRAME_SPEED_LEVELS,
 };
 pub use sgraph::{SEdge, SEdgeKind, SPath, ScheduledGraph, DEFAULT_PATH_CAP};
 pub use speed::{expected_energy, expected_energy_weighted, SpeedAssignment};

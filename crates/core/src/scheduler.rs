@@ -7,10 +7,9 @@
 //! [`BranchProbs`] table through a [`SolverWorkspace`], returning a
 //! [`Solution`] — and provides four implementors:
 //!
-//! * [`DlsScheduler`] — the paper's modified DLS + probability-weighted
-//!   stretching, **bit-for-bit identical** to
-//!   [`OnlineScheduler::solve_with_workspace`] (it delegates to the same
-//!   warm-start [`SolverWorkspace::solve`] core);
+//! * [`OnlineScheduler`] ("dls") — the paper's modified DLS +
+//!   probability-weighted stretching, through the warm-start
+//!   [`SolverWorkspace::solve`] core;
 //! * [`HeftScheduler`] — HEFT with probabilities: tasks are prioritised by
 //!   the probability-weighted upward ranks ([`static_levels`] — the
 //!   expected critical path below each task) and each task is placed on
@@ -112,42 +111,6 @@ impl CtgScheduler for OnlineScheduler {
         workspace: &mut SolverWorkspace,
     ) -> Result<Solution, SchedError> {
         OnlineScheduler::solve_with_workspace(self, ctx, probs, workspace)
-    }
-}
-
-/// The paper's modified-DLS + stretching pipeline as a named portfolio
-/// entry. Pinned bit-for-bit to [`OnlineScheduler`]: both delegate to the
-/// same [`SolverWorkspace::solve`] core (`tests/scheduler_portfolio.rs`
-/// asserts the equivalence on both TGFF families).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DlsScheduler {
-    cfg: StretchConfig,
-}
-
-impl DlsScheduler {
-    /// The default-configuration DLS entry.
-    pub fn new() -> Self {
-        DlsScheduler::default()
-    }
-
-    /// A DLS entry with a custom stretching configuration.
-    pub fn with_config(cfg: StretchConfig) -> Self {
-        DlsScheduler { cfg }
-    }
-}
-
-impl CtgScheduler for DlsScheduler {
-    fn name(&self) -> &'static str {
-        "dls"
-    }
-
-    fn solve_with_workspace(
-        &self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-        workspace: &mut SolverWorkspace,
-    ) -> Result<Solution, SchedError> {
-        workspace.solve(&self.cfg, ctx, probs)
     }
 }
 
@@ -546,7 +509,9 @@ impl SchedulerKind {
         workspace: &mut SolverWorkspace,
     ) -> Result<Solution, SchedError> {
         match self {
-            SchedulerKind::Dls => DlsScheduler::new().solve_with_workspace(ctx, probs, workspace),
+            SchedulerKind::Dls => {
+                CtgScheduler::solve_with_workspace(&OnlineScheduler::new(), ctx, probs, workspace)
+            }
             SchedulerKind::Heft => HeftScheduler::new().solve_with_workspace(ctx, probs, workspace),
             SchedulerKind::Lookahead => {
                 LookaheadScheduler::new().solve_with_workspace(ctx, probs, workspace)
@@ -741,12 +706,11 @@ mod tests {
         let (ctx, probs, ids) = example1_context();
         let [_, _, t3, ..] = ids;
         let online = OnlineScheduler::new();
-        let entry = DlsScheduler::new();
         for dist in [vec![0.5, 0.5], vec![0.9, 0.1], vec![0.2, 0.8]] {
             let mut p = probs.clone();
             p.set(t3, dist).unwrap();
             let a = online.solve(&ctx, &p).unwrap();
-            let b = entry.solve(&ctx, &p).unwrap();
+            let b = SchedulerKind::Dls.solve(&ctx, &p).unwrap();
             assert_eq!(a, b);
             let c = CtgScheduler::solve(&online, &ctx, &p).unwrap();
             assert_eq!(a, c);
@@ -795,7 +759,7 @@ mod tests {
         let obs = Obs::disabled();
         let out = race_portfolio(&kinds, &ctx, &probs, &mut wss, 1, &obs, 0).unwrap();
         // The winner can never be worse than the DLS entry (entry 0).
-        let dls = DlsScheduler::new().solve(&ctx, &probs).unwrap();
+        let dls = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
         assert!(out.energy <= dls.expected_energy(&ctx, &probs) + 1e-9);
         assert_eq!(
             out.solution,
@@ -857,7 +821,7 @@ mod tests {
         let mut wss: Vec<SolverWorkspace> = kinds.iter().map(|_| SolverWorkspace::new()).collect();
         let obs = Obs::disabled();
         let err = race_portfolio(&kinds, &tight, &probs, &mut wss, 1, &obs, 0).unwrap_err();
-        let dls_err = DlsScheduler::new().solve(&tight, &probs).unwrap_err();
+        let dls_err = OnlineScheduler::new().solve(&tight, &probs).unwrap_err();
         assert_eq!(err, dls_err, "first entry's error propagates");
     }
 

@@ -6,7 +6,7 @@
 //! when scenario enumeration is too coarse a mental model (e.g. when
 //! comparing against trace-driven results).
 
-use crate::instance::simulate_instance;
+use crate::instance::SimWorkspace;
 use ctg_model::{BranchProbs, Ctg, DecisionVector};
 use ctg_rng::Rng64;
 use ctg_sched::{SchedContext, SchedError, Solution};
@@ -102,11 +102,12 @@ pub fn monte_carlo_energy(
     }
     probs.validate(ctx.ctg())?;
     let mut rng = Rng64::seed_from_u64(seed);
+    let mut ws = SimWorkspace::new(ctx, solution);
     let mut sum = 0.0;
     let mut sum_sq = 0.0;
     for _ in 0..samples {
         let v = sample_vector(ctx.ctg(), probs, &mut rng);
-        let e = simulate_instance(ctx, solution, &v)?.energy;
+        let e = ws.simulate(ctx, solution, &v)?.energy;
         sum += e;
         sum_sq += e * e;
     }
@@ -159,6 +160,28 @@ mod tests {
         let c = monte_carlo_energy(&ctx, &solution, &probs, 200, 2).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn reused_workspace_matches_per_sample_simulation() {
+        let (ctx, probs, solution) = setup();
+        let samples = 300;
+        let mut rng = Rng64::seed_from_u64(5);
+        let (mut sum, mut sum_sq) = (0.0, 0.0);
+        for _ in 0..samples {
+            let v = sample_vector(ctx.ctg(), &probs, &mut rng);
+            let e = crate::simulate_instance(&ctx, &solution, &v)
+                .unwrap()
+                .energy;
+            sum += e;
+            sum_sq += e * e;
+        }
+        let n = samples as f64;
+        let mean = sum / n;
+        let std_err = ((sum_sq / n - mean * mean).max(0.0) / n).sqrt();
+        let mc = monte_carlo_energy(&ctx, &solution, &probs, samples, 5).unwrap();
+        assert_eq!(mc.mean.to_bits(), mean.to_bits());
+        assert_eq!(mc.std_err.to_bits(), std_err.to_bits());
     }
 
     #[test]

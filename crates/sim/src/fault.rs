@@ -34,8 +34,8 @@
 //! [`simulate_instance`](crate::simulate_instance) **bit-for-bit**: the
 //! fault-free arithmetic path is byte-identical, faults only ever add terms.
 
-use crate::instance::{InstanceOutcome, InstanceResult, SimWorkspace};
-use ctg_model::{DecisionVector, TaskId};
+use crate::instance::{Dispatch, InstanceOutcome, InstanceResult, SimWorkspace};
+use ctg_model::{DecisionVector, EdgeId, TaskId};
 use ctg_rng::{Rng64, SplitMix64};
 use ctg_sched::{SchedContext, SchedError, Solution};
 use mpsoc_platform::PeId;
@@ -478,6 +478,112 @@ pub fn simulate_instance_faulty(
     Ok((ws.result_from(out), log))
 }
 
+/// The fault-injecting dispatcher: the locked-speed rule of
+/// [`simulate_instance`](crate::simulate_instance) (without switch
+/// overhead) plus the injector's retransmits, stalls, denials and overruns,
+/// each recorded in `log`.
+struct Faulty<'a> {
+    ctx: &'a SchedContext,
+    solution: &'a Solution,
+    plan: &'a FaultPlan,
+    injector: &'a FaultInjector,
+    log: &'a mut FaultLog,
+}
+
+impl Faulty<'_> {
+    /// The PEs an edge's transfer runs between, and its volume.
+    fn route(&self, edge: EdgeId) -> (PeId, PeId, f64) {
+        let e = self.ctx.ctg().edge(edge);
+        let schedule = &self.solution.schedule;
+        (
+            schedule.pe_of(e.src()),
+            schedule.pe_of(e.dst()),
+            e.comm_kbytes(),
+        )
+    }
+}
+
+impl Dispatch for Faulty<'_> {
+    fn run(&mut self, t: TaskId, pe: PeId, mut start: f64, exec_energy: &mut f64) -> (f64, f64) {
+        // Transient PE stall: dispatch inside the window is deferred; the
+        // window is logged once, when it first delays a dispatch.
+        if let Some((from, until)) = self.injector.stall[pe.index()] {
+            if start >= from && start < until {
+                let logged = self.log.events.iter().any(
+                    |ev| matches!(ev, FaultEvent::Stall { pe: stalled, .. } if *stalled == pe),
+                );
+                if !logged {
+                    self.log.record(FaultEvent::Stall { pe, from, until });
+                }
+                self.log.stats.extra_time += until - start;
+                start = until;
+            }
+        }
+        // Fault-free duration/energy, exactly as `simulate_instance`.
+        let platform = self.ctx.platform();
+        let requested = self.solution.speeds.speed(t);
+        let mut duration = platform.exec_time(t.index(), pe, requested);
+        let mut energy = platform.exec_energy(t.index(), pe, requested);
+        // DVFS denial: governor snaps to the nearest coarse legal ratio,
+        // bypassing the platform's own quantization.
+        if self.injector.denial[t.index()] {
+            let granted = FaultInjector::snap(&self.plan.dvfs_levels, requested);
+            if (granted - requested).abs() > 1e-12 {
+                let d2 = platform.profile().wcet(t.index(), pe) / granted;
+                let e2 = platform.profile().energy(t.index(), pe) * granted * granted;
+                self.log.record(FaultEvent::DvfsDenial {
+                    task: t,
+                    requested,
+                    granted,
+                });
+                self.log.stats.extra_time += d2 - duration;
+                self.log.stats.extra_energy += e2 - energy;
+                duration = d2;
+                energy = e2;
+            }
+        }
+        // Execution-time overrun: same speed, more cycles — time and
+        // energy scale together.
+        let factor = self.injector.overrun[t.index()];
+        if factor != 1.0 {
+            self.log.record(FaultEvent::Overrun { task: t, factor });
+            self.log.stats.extra_time += duration * (factor - 1.0);
+            self.log.stats.extra_energy += energy * (factor - 1.0);
+            duration *= factor;
+            energy *= factor;
+        }
+        *exec_energy += energy;
+        (start, duration)
+    }
+
+    fn transfer(&mut self, edge: EdgeId, delay: f64) -> f64 {
+        let factor = self.injector.retransmit[edge.index()];
+        if !(factor != 1.0 && delay > 0.0) {
+            return delay;
+        }
+        let e = self.ctx.ctg().edge(edge);
+        self.log.record(FaultEvent::Retransmit {
+            src: e.src(),
+            dst: e.dst(),
+            factor,
+        });
+        self.log.stats.extra_time += delay * (factor - 1.0);
+        // Each retransmission re-pays the transfer energy.
+        let (from, to, kbytes) = self.route(edge);
+        self.log.stats.extra_energy +=
+            self.ctx.platform().comm().energy(from, to, kbytes) * (factor - 1.0);
+        delay * factor
+    }
+
+    /// A retransmitted transfer is charged once per (re-)transmission.
+    fn extra_comm_energy(&self, edge: EdgeId, base: f64) -> Option<f64> {
+        let factor = self.injector.retransmit[edge.index()];
+        let (from, to, kbytes) = self.route(edge);
+        (factor != 1.0 && self.ctx.platform().comm().delay(from, to, kbytes) > 0.0)
+            .then_some(base * (factor - 1.0))
+    }
+}
+
 impl SimWorkspace {
     /// Executes one instance under pre-sampled fault decisions, reusing the
     /// workspace buffers; `log` is cleared first and refilled (its event
@@ -500,137 +606,56 @@ impl SimWorkspace {
         injector: &FaultInjector,
         log: &mut FaultLog,
     ) -> Result<InstanceOutcome, SchedError> {
-        let ctg = ctx.ctg();
-        if vector.len() != ctg.num_branches() {
-            return Err(SchedError::VectorArity {
-                expected: ctg.num_branches(),
-                got: vector.len(),
-            });
-        }
-        let platform = ctx.platform();
-        let profile = platform.profile();
-        let comm = platform.comm();
-        let schedule = &solution.schedule;
-        let speeds = &solution.speeds;
-        let n = ctg.num_tasks();
         log.clear();
+        let mut hook = Faulty {
+            ctx,
+            solution,
+            plan,
+            injector,
+            log,
+        };
+        self.execute(ctx, &solution.schedule, vector, &mut hook)
+    }
+}
 
-        vector.active_tasks_into(ctg, ctx.activation(), &mut self.active);
-        self.task_times.clear();
-        self.task_times.resize(n, None);
-        self.stall_hit.clear();
-        self.stall_hit.resize(platform.num_pes(), false);
+/// A trace's fault state: its plan, if it has one, plus the injector and
+/// log reused across its instances.
+pub(crate) struct TraceFaults<'p> {
+    plan: Option<&'p FaultPlan>,
+    injector: FaultInjector,
+    log: FaultLog,
+}
 
-        let mut exec_energy = 0.0;
-        let mut makespan: f64 = 0.0;
-        for &t in &self.order {
-            if !self.active[t.index()] {
-                continue;
-            }
-            let pe = schedule.pe_of(t);
-            let mut start: f64 = 0.0;
-            for &(p, kbytes, edge_idx) in &self.preds[t.index()] {
-                if !self.active[p.index()] {
-                    continue;
-                }
-                let (_, p_finish) = self.task_times[p.index()]
-                    .expect("constraint order processes predecessors first");
-                let mut delay = comm.delay(schedule.pe_of(p), pe, kbytes);
-                if let Some(idx) = edge_idx {
-                    let factor = injector.retransmit[idx];
-                    if factor != 1.0 && delay > 0.0 {
-                        log.record(FaultEvent::Retransmit {
-                            src: p,
-                            dst: t,
-                            factor,
-                        });
-                        log.stats.extra_time += delay * (factor - 1.0);
-                        // Each retransmission re-pays the transfer energy.
-                        log.stats.extra_energy +=
-                            comm.energy(schedule.pe_of(p), pe, kbytes) * (factor - 1.0);
-                        delay *= factor;
-                    }
-                }
-                start = start.max(p_finish + delay);
-            }
-            // Transient PE stall: dispatch inside the window is deferred.
-            if let Some((from, until)) = injector.stall[pe.index()] {
-                if start >= from && start < until {
-                    if !self.stall_hit[pe.index()] {
-                        self.stall_hit[pe.index()] = true;
-                        log.record(FaultEvent::Stall { pe, from, until });
-                    }
-                    log.stats.extra_time += until - start;
-                    start = until;
-                }
-            }
-            // Fault-free duration/energy, exactly as `simulate_instance`.
-            let mut duration = platform.exec_time(t.index(), pe, speeds.speed(t));
-            let mut energy = platform.exec_energy(t.index(), pe, speeds.speed(t));
-            // DVFS denial: governor snaps to the nearest coarse legal ratio,
-            // bypassing the platform's own quantization.
-            if injector.denial[t.index()] {
-                let requested = speeds.speed(t);
-                let granted = FaultInjector::snap(&plan.dvfs_levels, requested);
-                if (granted - requested).abs() > 1e-12 {
-                    let d2 = profile.wcet(t.index(), pe) / granted;
-                    let e2 = profile.energy(t.index(), pe) * granted * granted;
-                    log.record(FaultEvent::DvfsDenial {
-                        task: t,
-                        requested,
-                        granted,
-                    });
-                    log.stats.extra_time += d2 - duration;
-                    log.stats.extra_energy += e2 - energy;
-                    duration = d2;
-                    energy = e2;
-                }
-            }
-            // Execution-time overrun: same speed, more cycles — time and
-            // energy scale together.
-            let factor = injector.overrun[t.index()];
-            if factor != 1.0 {
-                log.record(FaultEvent::Overrun { task: t, factor });
-                log.stats.extra_time += duration * (factor - 1.0);
-                log.stats.extra_energy += energy * (factor - 1.0);
-                duration *= factor;
-                energy *= factor;
-            }
-            let finish = start + duration;
-            self.task_times[t.index()] = Some((start, finish));
-            exec_energy += energy;
-            makespan = makespan.max(finish);
+impl<'p> TraceFaults<'p> {
+    pub(crate) fn new(ctx: &SchedContext, plan: Option<&'p FaultPlan>) -> Self {
+        TraceFaults {
+            plan,
+            injector: FaultInjector::empty(ctx),
+            log: FaultLog::default(),
         }
-        // Communication energy of transfers that actually happened, each
-        // charged once per (re-)transmission.
-        let mut comm_energy = 0.0;
-        for (idx, (_, e)) in ctg.edges().enumerate() {
-            if self.active[e.src().index()] && self.active[e.dst().index()] {
-                let base = comm.energy(
-                    schedule.pe_of(e.src()),
-                    schedule.pe_of(e.dst()),
-                    e.comm_kbytes(),
-                );
-                comm_energy += base;
-                let factor = injector.retransmit[idx];
-                let delay = comm.delay(
-                    schedule.pe_of(e.src()),
-                    schedule.pe_of(e.dst()),
-                    e.comm_kbytes(),
-                );
-                if factor != 1.0 && delay > 0.0 {
-                    comm_energy += base * (factor - 1.0);
-                }
-            }
-        }
+    }
 
-        Ok(InstanceOutcome {
-            energy: exec_energy + comm_energy,
-            exec_energy,
-            comm_energy,
-            makespan,
-            deadline_met: makespan <= ctg.deadline() + 1e-9,
-        })
+    /// Simulates instance `i` of the trace under `solution` — with the
+    /// faults the plan draws for `i` if there is a plan — and returns its
+    /// outcome with the faults that fired (all zero without a plan).
+    ///
+    /// # Errors
+    ///
+    /// Wrong-size vectors and invalid plans.
+    pub(crate) fn simulate(
+        &mut self,
+        ws: &mut SimWorkspace,
+        ctx: &SchedContext,
+        solution: &Solution,
+        vector: &DecisionVector,
+        i: usize,
+    ) -> Result<(InstanceOutcome, FaultStats), SchedError> {
+        let Some(plan) = self.plan else {
+            return Ok((ws.simulate(ctx, solution, vector)?, FaultStats::default()));
+        };
+        self.injector.resample(plan, ctx, i as u64)?;
+        let out = ws.simulate_faulty(ctx, solution, vector, plan, &self.injector, &mut self.log)?;
+        Ok((out, self.log.stats))
     }
 }
 

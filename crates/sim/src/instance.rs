@@ -1,20 +1,47 @@
-//! Single-instance execution.
+//! Single-instance execution: the one dispatch loop every simulator
+//! variant runs.
+//!
+//! [`SimWorkspace::execute`] owns the execution rule (see
+//! [`simulate_instance`]) and the timeline, makespan, communication energy
+//! and deadline verdict that follow from it. How one task is dispatched is
+//! a monomorphised [`Dispatch`] hook: locked speeds with optional DVFS
+//! switch overhead (below), fault injection ([`crate::fault`]), slack
+//! reclamation ([`crate::reclaim`]) and periodic release
+//! ([`crate::runner::run_periodic`]).
 
-use ctg_model::{DecisionVector, TaskId};
-use ctg_sched::{SchedContext, SchedError, Solution};
+use ctg_model::{Ctg, DecisionVector, EdgeId, TaskId};
+use ctg_sched::{SchedContext, SchedError, Schedule, Solution, SpeedAssignment};
+use mpsoc_platform::{PeId, Platform};
+
+/// Slack allowed when judging a finish time against a deadline: absorbs
+/// the rounding of summed durations.
+pub(crate) const DEADLINE_TOL: f64 = 1e-9;
 
 /// DVFS transition overhead model (extension — the paper explicitly
 /// neglects switching overhead; this quantifies what that assumption hides).
 ///
 /// Whenever two consecutively executed tasks on one PE run at different
 /// speed ratios, the later task is delayed by `switch_time` and the instance
-/// is charged `switch_energy`.
+/// is charged `switch_energy`. Both must be finite and non-negative.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DvfsOverhead {
     /// Time to re-lock the PLL / settle the voltage rail per speed change.
     pub switch_time: f64,
     /// Energy per speed change.
     pub switch_energy: f64,
+}
+
+impl DvfsOverhead {
+    fn validate(&self) -> Result<(), SchedError> {
+        let ok = |x: f64| x >= 0.0 && x.is_finite();
+        if ok(self.switch_time) && ok(self.switch_energy) {
+            Ok(())
+        } else {
+            Err(SchedError::InvalidParameter(
+                "DVFS switch time and energy must be finite and ≥ 0",
+            ))
+        }
+    }
 }
 
 /// Outcome of executing one CTG instance.
@@ -63,6 +90,70 @@ pub struct InstanceOutcome {
     pub deadline_met: bool,
 }
 
+/// How [`SimWorkspace::execute`] dispatches one activated task: the hook
+/// points of the one dispatch loop. The defaults are the fault-free
+/// transfer rules, so only the fault injector overrides them.
+pub(crate) trait Dispatch {
+    /// Runs `t` on `pe` from the earliest `start` its constraints allow:
+    /// charges its energy to `exec_energy` and returns its actual start and
+    /// duration.
+    fn run(&mut self, t: TaskId, pe: PeId, start: f64, exec_energy: &mut f64) -> (f64, f64);
+
+    /// Arrival delay of the data on CTG edge `edge`, given its fault-free
+    /// `delay`.
+    #[inline]
+    fn transfer(&mut self, _edge: EdgeId, delay: f64) -> f64 {
+        delay
+    }
+
+    /// Energy charged for the executed transfer on `edge` on top of its
+    /// fault-free energy `base`.
+    #[inline]
+    fn extra_comm_energy(&self, _edge: EdgeId, _base: f64) -> Option<f64> {
+        None
+    }
+}
+
+/// The locked-speed dispatcher: every task runs at its solution speed,
+/// paying `overhead` whenever its PE changes (quantized) speed.
+struct Locked<'a> {
+    platform: &'a Platform,
+    speeds: &'a SpeedAssignment,
+    overhead: DvfsOverhead,
+    /// Last speed each PE ran at.
+    pe_speed: &'a mut [Option<f64>],
+}
+
+impl Dispatch for Locked<'_> {
+    fn run(&mut self, t: TaskId, pe: PeId, mut start: f64, exec_energy: &mut f64) -> (f64, f64) {
+        let speed = self.platform.dvfs().quantize(self.speeds.speed(t));
+        if let Some(prev) = self.pe_speed[pe.index()] {
+            if (prev - speed).abs() > 1e-12 {
+                start += self.overhead.switch_time;
+                *exec_energy += self.overhead.switch_energy;
+            }
+        }
+        self.pe_speed[pe.index()] = Some(speed);
+        let duration = self.platform.exec_time(t.index(), pe, self.speeds.speed(t));
+        *exec_energy += self
+            .platform
+            .exec_energy(t.index(), pe, self.speeds.speed(t));
+        (start, duration)
+    }
+}
+
+/// Rejects a decision vector whose length is not the graph's fork count.
+pub(crate) fn check_arity(ctg: &Ctg, vector: &DecisionVector) -> Result<(), SchedError> {
+    if vector.len() == ctg.num_branches() {
+        Ok(())
+    } else {
+        Err(SchedError::VectorArity {
+            expected: ctg.num_branches(),
+            got: vector.len(),
+        })
+    }
+}
+
 /// Precomputed constraint structure and scratch buffers for simulating many
 /// instances under one committed schedule.
 ///
@@ -79,17 +170,17 @@ pub struct InstanceOutcome {
 /// adaptive re-schedule).
 #[derive(Debug, Clone)]
 pub struct SimWorkspace {
-    /// Per-task constraint list `(pred, comm kbytes, CTG edge index)`; the
-    /// edge index is `None` for implied or-deps and same-PE pseudo edges
-    /// (it is only consumed by the fault simulator's retransmit lookup).
-    pub(crate) preds: Vec<Vec<(TaskId, f64, Option<usize>)>>,
-    /// Topological processing order of the constraint graph: nominal start
-    /// order (pseudo constraints always point from earlier to later starts).
+    /// Per-task constraint list `(pred, comm kbytes, CTG edge)`; the edge
+    /// is `None` for implied or-deps and same-PE pseudo edges.
+    pub(crate) preds: Vec<Vec<(TaskId, f64, Option<EdgeId>)>>,
+    /// Processing order: nominal start, ties by task id. Every constraint
+    /// points forward except same-PE order between mutually exclusive
+    /// tasks sharing a start time, which never both run.
     pub(crate) order: Vec<TaskId>,
-    pub(crate) active: Vec<bool>,
-    pub(crate) task_times: Vec<Option<(f64, f64)>>,
-    pub(crate) pe_speed: Vec<Option<f64>>,
-    pub(crate) stall_hit: Vec<bool>,
+    active: Vec<bool>,
+    task_times: Vec<Option<(f64, f64)>>,
+    /// Last speed each PE ran at (locked-speed dispatch only).
+    pe_speed: Vec<Option<f64>>,
 }
 
 impl SimWorkspace {
@@ -101,7 +192,6 @@ impl SimWorkspace {
             active: Vec::new(),
             task_times: Vec::new(),
             pe_speed: Vec::new(),
-            stall_hit: Vec::new(),
         };
         ws.rebuild(ctx, solution);
         ws
@@ -119,8 +209,8 @@ impl SimWorkspace {
         for p in &mut self.preds {
             p.clear();
         }
-        for (idx, (_, e)) in ctg.edges().enumerate() {
-            self.preds[e.dst().index()].push((e.src(), e.comm_kbytes(), Some(idx)));
+        for (id, e) in ctg.edges() {
+            self.preds[e.dst().index()].push((e.src(), e.comm_kbytes(), Some(id)));
         }
         for &(fork, or_node) in ctx.activation().implied_or_deps() {
             self.preds[or_node.index()].push((fork, 0.0, None));
@@ -174,7 +264,9 @@ impl SimWorkspace {
     ///
     /// # Errors
     ///
-    /// Same as [`SimWorkspace::simulate`].
+    /// Same as [`SimWorkspace::simulate`], plus
+    /// [`SchedError::InvalidParameter`] for a negative, NaN or infinite
+    /// overhead field.
     pub fn simulate_with_overhead(
         &mut self,
         ctx: &SchedContext,
@@ -182,25 +274,47 @@ impl SimWorkspace {
         vector: &DecisionVector,
         overhead: DvfsOverhead,
     ) -> Result<InstanceOutcome, SchedError> {
+        overhead.validate()?;
+        let mut pe_speed = std::mem::take(&mut self.pe_speed);
+        pe_speed.clear();
+        pe_speed.resize(ctx.platform().num_pes(), None);
+        let out = self.execute(
+            ctx,
+            &solution.schedule,
+            vector,
+            &mut Locked {
+                platform: ctx.platform(),
+                speeds: &solution.speeds,
+                overhead,
+                pe_speed: &mut pe_speed,
+            },
+        );
+        self.pe_speed = pe_speed;
+        out
+    }
+
+    /// The dispatch loop: executes one instance of the context's CTG under
+    /// `schedule` with the branch decisions in `vector`, dispatching each
+    /// activated task through `hook`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::VectorArity`] when `vector` does not match the
+    /// graph's fork count.
+    pub(crate) fn execute<D: Dispatch>(
+        &mut self,
+        ctx: &SchedContext,
+        schedule: &Schedule,
+        vector: &DecisionVector,
+        hook: &mut D,
+    ) -> Result<InstanceOutcome, SchedError> {
         let ctg = ctx.ctg();
-        if vector.len() != ctg.num_branches() {
-            return Err(SchedError::VectorArity {
-                expected: ctg.num_branches(),
-                got: vector.len(),
-            });
-        }
-        let platform = ctx.platform();
-        let comm = platform.comm();
-        let schedule = &solution.schedule;
-        let speeds = &solution.speeds;
-        let n = ctg.num_tasks();
+        check_arity(ctg, vector)?;
+        let comm = ctx.platform().comm();
 
         vector.active_tasks_into(ctg, ctx.activation(), &mut self.active);
         self.task_times.clear();
-        self.task_times.resize(n, None);
-        // Last speed each PE ran at, for DVFS transition accounting.
-        self.pe_speed.clear();
-        self.pe_speed.resize(platform.num_pes(), None);
+        self.task_times.resize(ctg.num_tasks(), None);
 
         let mut exec_energy = 0.0;
         let mut makespan: f64 = 0.0;
@@ -210,38 +324,36 @@ impl SimWorkspace {
             }
             let pe = schedule.pe_of(t);
             let mut start: f64 = 0.0;
-            for &(p, kbytes, _) in &self.preds[t.index()] {
+            for &(p, kbytes, edge) in &self.preds[t.index()] {
                 if !self.active[p.index()] {
                     continue;
                 }
                 let (_, p_finish) = self.task_times[p.index()]
                     .expect("constraint order processes predecessors first");
-                let arrival = p_finish + comm.delay(schedule.pe_of(p), pe, kbytes);
-                start = start.max(arrival);
-            }
-            let speed = platform.dvfs().quantize(speeds.speed(t));
-            if let Some(prev) = self.pe_speed[pe.index()] {
-                if (prev - speed).abs() > 1e-12 {
-                    start += overhead.switch_time;
-                    exec_energy += overhead.switch_energy;
+                let mut delay = comm.delay(schedule.pe_of(p), pe, kbytes);
+                if let Some(edge) = edge {
+                    delay = hook.transfer(edge, delay);
                 }
+                start = start.max(p_finish + delay);
             }
-            self.pe_speed[pe.index()] = Some(speed);
-            let duration = platform.exec_time(t.index(), pe, speeds.speed(t));
+            let (start, duration) = hook.run(t, pe, start, &mut exec_energy);
             let finish = start + duration;
             self.task_times[t.index()] = Some((start, finish));
-            exec_energy += platform.exec_energy(t.index(), pe, speeds.speed(t));
             makespan = makespan.max(finish);
         }
         // Communication energy of transfers that actually happened.
         let mut comm_energy = 0.0;
-        for (_, e) in ctg.edges() {
+        for (id, e) in ctg.edges() {
             if self.active[e.src().index()] && self.active[e.dst().index()] {
-                comm_energy += comm.energy(
+                let base = comm.energy(
                     schedule.pe_of(e.src()),
                     schedule.pe_of(e.dst()),
                     e.comm_kbytes(),
                 );
+                comm_energy += base;
+                if let Some(extra) = hook.extra_comm_energy(id, base) {
+                    comm_energy += extra;
+                }
             }
         }
 
@@ -250,7 +362,7 @@ impl SimWorkspace {
             exec_energy,
             comm_energy,
             makespan,
-            deadline_met: makespan <= ctg.deadline() + 1e-9,
+            deadline_met: makespan <= ctg.deadline() + DEADLINE_TOL,
         })
     }
 
@@ -301,7 +413,7 @@ pub fn simulate_instance(
 ///
 /// # Errors
 ///
-/// Same as [`simulate_instance`].
+/// Same as [`SimWorkspace::simulate_with_overhead`].
 pub fn simulate_instance_with_overhead(
     ctx: &SchedContext,
     solution: &Solution,
@@ -499,5 +611,32 @@ mod overhead_tests {
         // Whether it breaks depends on how many transitions the schedule
         // has; at minimum the makespan must grow.
         assert!(with.makespan > simulate_instance(&ctx, &solution, &v).unwrap().makespan - 1e-9);
+    }
+
+    #[test]
+    fn invalid_overheads_rejected() {
+        let (ctx, solution) = setup(60.0);
+        let v = DecisionVector::new(vec![1, 0]);
+        for (switch_time, switch_energy) in [
+            (-0.5, 0.0),
+            (0.0, -0.1),
+            (f64::NAN, 0.0),
+            (0.0, f64::NAN),
+            (f64::INFINITY, 0.0),
+        ] {
+            let oh = DvfsOverhead {
+                switch_time,
+                switch_energy,
+            };
+            assert!(
+                matches!(
+                    simulate_instance_with_overhead(&ctx, &solution, &v, oh),
+                    Err(SchedError::InvalidParameter(_))
+                ),
+                "{oh:?} must be rejected"
+            );
+            let mut ws = SimWorkspace::new(&ctx, &solution);
+            assert!(ws.simulate_with_overhead(&ctx, &solution, &v, oh).is_err());
+        }
     }
 }

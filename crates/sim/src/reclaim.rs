@@ -18,9 +18,35 @@
 //! This quantifies how much of the adaptive manager's benefit a purely
 //! reactive, per-instance mechanism can recover (and it composes with it).
 
-use crate::instance::InstanceResult;
+use crate::instance::{check_arity, Dispatch, InstanceResult, SimWorkspace};
 use ctg_model::{DecisionVector, TaskId};
 use ctg_sched::{SchedContext, SchedError, Solution};
+use mpsoc_platform::{PeId, Platform};
+
+/// The reclaiming dispatcher: each task's speed is chosen from its
+/// dispatch time so it finishes by `deadline − rem(τ)`.
+struct Reclaiming<'a> {
+    platform: &'a Platform,
+    deadline: f64,
+    min_speed: f64,
+    /// Per-task duration floor the induction assumes.
+    floor: &'a [f64],
+    /// Worst-case remaining time after each task finishes.
+    rem: &'a [f64],
+}
+
+impl Dispatch for Reclaiming<'_> {
+    fn run(&mut self, t: TaskId, pe: PeId, start: f64, exec_energy: &mut f64) -> (f64, f64) {
+        let wcet = self.platform.profile().wcet(t.index(), pe);
+        let latest_finish = self.deadline - self.rem[t.index()];
+        // By induction the budget is at least the duration floor; clamp for
+        // numeric robustness anyway.
+        let budget = (latest_finish - start).max(self.floor[t.index()]);
+        let speed = (wcet / budget).clamp(self.min_speed, 1.0);
+        *exec_energy += self.platform.exec_energy(t.index(), pe, speed);
+        (start, self.platform.exec_time(t.index(), pe, speed))
+    }
+}
 
 /// Executes one instance with greedy runtime slack reclamation.
 ///
@@ -72,124 +98,61 @@ pub fn simulate_instance_reclaiming(
     min_speed: f64,
     use_locked: bool,
 ) -> Result<InstanceResult, SchedError> {
-    let ctg = ctx.ctg();
-    if vector.len() != ctg.num_branches() {
-        return Err(SchedError::VectorArity {
-            expected: ctg.num_branches(),
-            got: vector.len(),
-        });
-    }
+    check_arity(ctx.ctg(), vector)?;
     if !(min_speed > 0.0 && min_speed <= 1.0) {
         return Err(SchedError::InvalidParameter("min_speed must lie in (0, 1]"));
     }
     let platform = ctx.platform();
     let comm = platform.comm();
     let schedule = &solution.schedule;
-    let profile = platform.profile();
-    let active = vector.active_tasks(ctg, ctx.activation());
-    let n = ctg.num_tasks();
+    let mut ws = SimWorkspace::new(ctx, solution);
 
-    // Constraint graph (identical to the plain simulator).
-    let mut preds: Vec<Vec<(TaskId, f64)>> = vec![Vec::new(); n];
-    for (_, e) in ctg.edges() {
-        preds[e.dst().index()].push((e.src(), e.comm_kbytes()));
-    }
-    for &(fork, or_node) in ctx.activation().implied_or_deps() {
-        preds[or_node.index()].push((fork, 0.0));
-    }
-    for pe in platform.pes() {
-        let order = schedule.pe_order(pe);
-        for i in 0..order.len() {
-            for j in (i + 1)..order.len() {
-                preds[order[j].index()].push((order[i], 0.0));
+    // The per-task duration floor the induction assumes downstream: locked
+    // durations when improving on the locked solution, nominal otherwise.
+    let floor: Vec<f64> = ctx
+        .ctg()
+        .tasks()
+        .map(|t| {
+            let wcet = platform.profile().wcet(t.index(), schedule.pe_of(t));
+            if use_locked {
+                wcet / solution.speeds.speed(t)
+            } else {
+                wcet
             }
-        }
-    }
-    let mut order: Vec<TaskId> = ctg.tasks().collect();
-    order.sort_by(|&a, &b| {
-        schedule
-            .start(a)
-            .partial_cmp(&schedule.start(b))
-            .expect("finite start times")
-            .then(a.cmp(&b))
-    });
-
+        })
+        .collect();
     // rem(τ): worst-case remaining time after τ finishes over the
-    // constraint graph (condition-blind, therefore safe).
-    let mut succs: Vec<Vec<(TaskId, f64)>> = vec![Vec::new(); n];
-    for (d, ps) in preds.iter().enumerate() {
-        for &(p, kb) in ps {
+    // constraint graph (condition-blind, therefore safe), walking the
+    // workspace's processing order backwards over its constraint lists.
+    let mut succs: Vec<Vec<(TaskId, f64)>> = vec![Vec::new(); floor.len()];
+    for (d, ps) in ws.preds.iter().enumerate() {
+        for &(p, kb, _) in ps {
             succs[p.index()].push((TaskId::new(d), kb));
         }
     }
-    // The per-task duration floor the induction assumes downstream: locked
-    // durations when improving on the locked solution, nominal otherwise.
-    let floor_duration = |t: TaskId| -> f64 {
-        let wcet = profile.wcet(t.index(), schedule.pe_of(t));
-        if use_locked {
-            wcet / solution.speeds.speed(t)
-        } else {
-            wcet
-        }
-    };
-    let mut rem = vec![0.0_f64; n];
-    for &t in order.iter().rev() {
+    let mut rem = vec![0.0_f64; floor.len()];
+    for &t in ws.order.iter().rev() {
         let mut worst: f64 = 0.0;
         for &(s, kb) in &succs[t.index()] {
             let delay = comm.delay(schedule.pe_of(t), schedule.pe_of(s), kb);
-            worst = worst.max(delay + floor_duration(s) + rem[s.index()]);
+            worst = worst.max(delay + floor[s.index()] + rem[s.index()]);
         }
         rem[t.index()] = worst;
     }
 
-    let deadline = ctg.deadline();
-    let mut task_times: Vec<Option<(f64, f64)>> = vec![None; n];
-    let mut exec_energy = 0.0;
-    let mut makespan: f64 = 0.0;
-    for &t in &order {
-        if !active[t.index()] {
-            continue;
-        }
-        let pe = schedule.pe_of(t);
-        let mut start: f64 = 0.0;
-        for &(p, kbytes) in &preds[t.index()] {
-            if !active[p.index()] {
-                continue;
-            }
-            let (_, p_finish) =
-                task_times[p.index()].expect("constraint order processes predecessors first");
-            start = start.max(p_finish + comm.delay(schedule.pe_of(p), pe, kbytes));
-        }
-        let wcet = profile.wcet(t.index(), pe);
-        let latest_finish = deadline - rem[t.index()];
-        // By induction the budget is at least the duration floor; clamp for
-        // numeric robustness anyway.
-        let budget = (latest_finish - start).max(floor_duration(t));
-        let speed = (wcet / budget).clamp(min_speed, 1.0);
-        let duration = platform.exec_time(t.index(), pe, speed);
-        let finish = start + duration;
-        task_times[t.index()] = Some((start, finish));
-        exec_energy += platform.exec_energy(t.index(), pe, speed);
-        makespan = makespan.max(finish);
-    }
-    let mut comm_energy = 0.0;
-    for (_, e) in ctg.edges() {
-        if active[e.src().index()] && active[e.dst().index()] {
-            comm_energy += comm.energy(
-                schedule.pe_of(e.src()),
-                schedule.pe_of(e.dst()),
-                e.comm_kbytes(),
-            );
-        }
-    }
-    Ok(InstanceResult {
-        energy: exec_energy + comm_energy,
-        exec_energy,
-        comm_energy,
-        makespan,
-        deadline_met: makespan <= deadline + 1e-9,
-        task_times,
-    })
+    let out = ws.execute(
+        ctx,
+        schedule,
+        vector,
+        &mut Reclaiming {
+            platform,
+            deadline: ctx.ctg().deadline(),
+            min_speed,
+            floor: &floor,
+            rem: &rem,
+        },
+    )?;
+    Ok(ws.result_from(out))
 }
 
 #[cfg(test)]

@@ -396,9 +396,10 @@ impl Runner {
     /// Runs a fixed solution over a trace (the paper's non-adaptive online
     /// policy).
     ///
-    /// Dispatch: `fault_plan` selects fault injection; `workers > 1`
-    /// selects the pooled engine (whose summary is bit-for-bit equal to the
-    /// sequential one — only the ignored wall-clock fields differ).
+    /// One chunked engine serves every configuration: `fault_plan` turns
+    /// fault injection on, and `workers > 1` fans the chunks out over the
+    /// pool (the summary is bit-for-bit equal at every worker count — only
+    /// the ignored wall-clock fields differ).
     ///
     /// # Errors
     ///
@@ -409,28 +410,15 @@ impl Runner {
         solution: &Solution,
         vectors: &[DecisionVector],
     ) -> Result<RunSummary, SchedError> {
-        let obs = &self.cfg.obs;
-        match (&self.cfg.fault_plan, self.cfg.workers > 1) {
-            (None, false) => runner::static_seq(ctx, solution, vectors, obs),
-            (None, true) => runner::static_parallel(
-                ctx,
-                solution,
-                vectors,
-                self.cfg.workers,
-                self.cfg.min_batch,
-                obs,
-            ),
-            (Some(plan), false) => runner::static_faulty_seq(ctx, solution, vectors, plan, obs),
-            (Some(plan), true) => runner::static_faulty_parallel(
-                ctx,
-                solution,
-                vectors,
-                plan,
-                self.cfg.workers,
-                self.cfg.min_batch,
-                obs,
-            ),
-        }
+        runner::static_run(
+            ctx,
+            solution,
+            vectors,
+            self.cfg.fault_plan.as_ref(),
+            self.cfg.workers,
+            self.cfg.min_batch,
+            &self.cfg.obs,
+        )
     }
 
     /// Runs the adaptive policy over a trace.

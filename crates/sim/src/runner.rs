@@ -8,14 +8,17 @@
 //! affecting a single simulated bit when enabled.
 
 use crate::degrade::{DegradeConfig, DegradeStats, Rung, Watchdog, WatchdogVerdict};
-use crate::fault::{FaultInjector, FaultLog, FaultPlan, FaultStats};
-use crate::instance::{InstanceOutcome, SimWorkspace};
+use crate::fault::{FaultPlan, FaultStats, TraceFaults};
+use crate::instance::{Dispatch, InstanceOutcome, SimWorkspace, DEADLINE_TOL};
 use crate::pool;
 use crate::run::{RunConfig, Runner};
 use crate::summary::{fmt_f64, ExecStats};
-use ctg_model::DecisionVector;
+use ctg_model::{DecisionVector, TaskId};
 use ctg_obs::{Counter, Hist, Obs, Stage};
-use ctg_sched::{AdaptiveScheduler, ObserveOutcome, SchedContext, SchedError, Solution};
+use ctg_sched::{
+    AdaptiveScheduler, ObserveOutcome, SchedContext, SchedError, Solution, SpeedAssignment,
+};
+use mpsoc_platform::{PeId, Platform};
 use std::time::Instant;
 
 /// Aggregate outcome of a trace run.
@@ -108,10 +111,6 @@ impl RunSummary {
         )
     }
 
-    fn absorb_outcome(&mut self, r: &InstanceOutcome) {
-        self.exec.absorb_outcome(r);
-    }
-
     fn absorb_manager(&mut self, manager: &AdaptiveScheduler) {
         let stats = manager.stats();
         self.calls = stats.calls;
@@ -161,6 +160,23 @@ pub(crate) fn note_faults(obs: &Obs, track: u32, stats: &FaultStats) {
     }
 }
 
+/// Folds one simulated instance and the faults it fired into a summary's
+/// counters and records its telemetry on `track`.
+pub(crate) fn absorb_instance(
+    exec: &mut ExecStats,
+    faults: &mut FaultStats,
+    obs: &Obs,
+    ctx: &SchedContext,
+    track: u32,
+    r: &InstanceOutcome,
+    fired: &FaultStats,
+) {
+    exec.absorb_outcome(r);
+    faults.absorb(fired);
+    note_instance(obs, ctx, r);
+    note_faults(obs, track, fired);
+}
+
 /// Telemetry for one SLO violation in the event-driven serving engine: a
 /// per-worker instant (arg = stream id) plus the violation counter.
 pub(crate) fn note_slo_miss(obs: &Obs, track: u32, stream_id: usize) {
@@ -188,27 +204,6 @@ pub fn run_static(
     Runner::new(RunConfig::new()).run_static(ctx, solution, vectors)
 }
 
-/// Sequential static engine.
-pub(crate) fn static_seq(
-    ctx: &SchedContext,
-    solution: &Solution,
-    vectors: &[DecisionVector],
-    obs: &Obs,
-) -> Result<RunSummary, SchedError> {
-    let start = Instant::now();
-    let run_span = obs.span(0, Stage::Run);
-    let mut ws = SimWorkspace::new(ctx, solution);
-    let mut summary = RunSummary::default();
-    for v in vectors {
-        let r = ws.simulate(ctx, solution, v)?;
-        summary.absorb_outcome(&r);
-        note_instance(obs, ctx, &r);
-    }
-    run_span.end(summary.exec.instances as i64);
-    summary.wall_s = start.elapsed().as_secs_f64();
-    Ok(summary)
-}
-
 /// Picks the per-worker chunk length for a trace of `len` instances: small
 /// enough that every worker gets several chunks (load balance), large enough
 /// to amortize the channel round-trip. Chunking only affects wall time —
@@ -217,22 +212,13 @@ fn chunk_len(len: usize, workers: usize) -> usize {
     len.div_ceil(workers.max(1) * 8).max(1)
 }
 
-/// [`run_static`] fanned out over a worker pool (see [`pool`]).
-///
-/// The trace is split into chunks, simulated on up to `workers` threads
-/// (each with its own [`SimWorkspace`]), and the per-instance outcomes are
-/// folded into the summary **in trace order** — so the returned summary is
-/// bit-for-bit equal to [`run_static`]'s for every worker count (the
-/// wall-clock fields differ; they are ignored by `==`).
-///
-/// Use [`pool::worker_count`] for a `CTG_WORKERS`-aware default. Traces
-/// shorter than [`pool::min_batch`] run sequentially regardless of
-/// `workers` — spawn/join overhead dominates there — which changes only
-/// the wall-clock fields.
+/// [`run_static`] fanned out over `workers` threads; the summary is
+/// bit-for-bit equal to [`run_static`]'s at every worker count (only the
+/// ignored wall-clock fields differ). Traces shorter than
+/// [`pool::min_batch`] run inline.
 ///
 /// Thin wrapper over [`Runner::run_static`] with [`RunConfig::from_env`]
-/// (preserving the `CTG_POOL_MIN_BATCH` fallback) and an explicit worker
-/// count.
+/// and an explicit worker count.
 ///
 /// # Errors
 ///
@@ -246,38 +232,52 @@ pub fn run_static_parallel(
     Runner::new(RunConfig::from_env().workers(workers)).run_static(ctx, solution, vectors)
 }
 
-/// Parallel static engine: telemetry (counters, histograms) is recorded on
-/// the merging thread in trace order, so enabling it cannot perturb the
-/// worker pool or the merged bits.
-pub(crate) fn static_parallel(
+/// Static engine: the trace is split into chunks and simulated over the
+/// worker pool (inline at one worker), each worker with its own
+/// [`SimWorkspace`] and fault state; instance `i` draws its faults from
+/// `mix(plan.seed, i)` whatever its chunk. Outcomes are folded, and
+/// telemetry recorded, on the merging thread in trace order, so the summary
+/// is bit-identical at every worker count.
+pub(crate) fn static_run(
     ctx: &SchedContext,
     solution: &Solution,
     vectors: &[DecisionVector],
+    plan: Option<&FaultPlan>,
     workers: usize,
     min_batch: usize,
     obs: &Obs,
 ) -> Result<RunSummary, SchedError> {
     let start = Instant::now();
     let run_span = obs.span(0, Stage::Run);
-    let workers = pool::effective_workers_with(vectors.len(), workers, min_batch, 1.0);
-    let chunks: Vec<&[DecisionVector]> =
-        vectors.chunks(chunk_len(vectors.len(), workers)).collect();
+    let cost = plan.map_or(1.0, |_| FAULTY_INSTANCE_COST);
+    let workers = pool::effective_workers_with(vectors.len(), workers, min_batch, cost);
+    let clen = chunk_len(vectors.len(), workers);
+    let chunks: Vec<(usize, &[DecisionVector])> = vectors
+        .chunks(clen)
+        .enumerate()
+        .map(|(c, chunk)| (c * clen, chunk))
+        .collect();
     let results = pool::map_ordered_with(
         &chunks,
         workers,
-        || SimWorkspace::new(ctx, solution),
-        |ws, _, chunk| -> Result<Vec<InstanceOutcome>, SchedError> {
+        || {
+            (
+                SimWorkspace::new(ctx, solution),
+                TraceFaults::new(ctx, plan),
+            )
+        },
+        |(ws, faults), _, &(base, chunk)| -> Result<Vec<_>, SchedError> {
             chunk
                 .iter()
-                .map(|v| ws.simulate(ctx, solution, v))
+                .enumerate()
+                .map(|(j, v)| faults.simulate(ws, ctx, solution, v, base + j))
                 .collect()
         },
     );
     let mut summary = RunSummary::default();
     for chunk in results {
-        for r in chunk? {
-            summary.absorb_outcome(&r);
-            note_instance(obs, ctx, &r);
+        for (r, f) in chunk? {
+            absorb_instance(&mut summary.exec, &mut summary.faults, obs, ctx, 0, &r, &f);
         }
     }
     run_span.end(summary.exec.instances as i64);
@@ -304,33 +304,6 @@ pub fn run_static_faulty(
     Runner::new(RunConfig::new().fault_plan(plan.clone())).run_static(ctx, solution, vectors)
 }
 
-/// Sequential faulty static engine.
-pub(crate) fn static_faulty_seq(
-    ctx: &SchedContext,
-    solution: &Solution,
-    vectors: &[DecisionVector],
-    plan: &FaultPlan,
-    obs: &Obs,
-) -> Result<RunSummary, SchedError> {
-    let start = Instant::now();
-    let run_span = obs.span(0, Stage::Run);
-    let mut ws = SimWorkspace::new(ctx, solution);
-    let mut injector = FaultInjector::empty(ctx);
-    let mut log = FaultLog::default();
-    let mut summary = RunSummary::default();
-    for (i, v) in vectors.iter().enumerate() {
-        injector.resample(plan, ctx, i as u64)?;
-        let r = ws.simulate_faulty(ctx, solution, v, plan, &injector, &mut log)?;
-        summary.absorb_outcome(&r);
-        summary.faults.absorb(&log.stats);
-        note_instance(obs, ctx, &r);
-        note_faults(obs, 0, &log.stats);
-    }
-    run_span.end(summary.exec.instances as i64);
-    summary.wall_s = start.elapsed().as_secs_f64();
-    Ok(summary)
-}
-
 /// Relative per-instance cost of a faulty simulation vs a plain one, used
 /// to weight the small-batch sequential fallback: a faulty instance
 /// resamples its fault stream and re-plans around injected overruns,
@@ -339,16 +312,9 @@ pub(crate) fn static_faulty_seq(
 /// half as many instances.
 pub const FAULTY_INSTANCE_COST: f64 = 2.0;
 
-/// [`run_static_faulty`] fanned out over a worker pool.
-///
-/// Fault decisions are keyed by `(plan.seed, global instance index)`, so
-/// instances are independent and the partition into chunks cannot change
-/// them; outcomes are folded in trace order, making the summary bit-for-bit
-/// equal to [`run_static_faulty`]'s at every worker count. The small-batch
-/// sequential fallback is weighted by [`FAULTY_INSTANCE_COST`]: faulty
-/// instances are heavier than plain ones, so the pool pays off at
-/// proportionally shorter traces than [`run_static_parallel`]'s
-/// [`pool::min_batch`] floor.
+/// [`run_static_faulty`] fanned out over `workers` threads, bit-for-bit
+/// equal to it at every worker count; the inline fallback's threshold is
+/// weighted by [`FAULTY_INSTANCE_COST`].
 ///
 /// Thin wrapper over [`Runner::run_static`] with [`RunConfig::from_env`]
 /// plus a fault plan and an explicit worker count.
@@ -369,66 +335,6 @@ pub fn run_static_faulty_parallel(
             .fault_plan(plan.clone()),
     )
     .run_static(ctx, solution, vectors)
-}
-
-/// Parallel faulty static engine (telemetry merged in trace order, like
-/// [`static_parallel`]).
-pub(crate) fn static_faulty_parallel(
-    ctx: &SchedContext,
-    solution: &Solution,
-    vectors: &[DecisionVector],
-    plan: &FaultPlan,
-    workers: usize,
-    min_batch: usize,
-    obs: &Obs,
-) -> Result<RunSummary, SchedError> {
-    let start = Instant::now();
-    let run_span = obs.span(0, Stage::Run);
-    let workers =
-        pool::effective_workers_with(vectors.len(), workers, min_batch, FAULTY_INSTANCE_COST);
-    let clen = chunk_len(vectors.len(), workers);
-    let chunks: Vec<(usize, &[DecisionVector])> = vectors
-        .chunks(clen)
-        .enumerate()
-        .map(|(c, chunk)| (c * clen, chunk))
-        .collect();
-    let results = pool::map_ordered_with(
-        &chunks,
-        workers,
-        || {
-            (
-                SimWorkspace::new(ctx, solution),
-                FaultInjector::empty(ctx),
-                FaultLog::default(),
-            )
-        },
-        |(ws, injector, log),
-         _,
-         &(base, chunk)|
-         -> Result<Vec<(InstanceOutcome, FaultStats)>, SchedError> {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(j, v)| {
-                    injector.resample(plan, ctx, (base + j) as u64)?;
-                    let r = ws.simulate_faulty(ctx, solution, v, plan, injector, log)?;
-                    Ok((r, log.stats))
-                })
-                .collect()
-        },
-    );
-    let mut summary = RunSummary::default();
-    for chunk in results {
-        for (r, stats) in chunk? {
-            summary.absorb_outcome(&r);
-            summary.faults.absorb(&stats);
-            note_instance(obs, ctx, &r);
-            note_faults(obs, 0, &stats);
-        }
-    }
-    run_span.end(summary.exec.instances as i64);
-    summary.wall_s = start.elapsed().as_secs_f64();
-    Ok(summary)
 }
 
 /// Runs the adaptive policy over a trace: each instance executes under the
@@ -466,11 +372,11 @@ pub(crate) fn adaptive_run(
     manager.set_obs(obs.clone(), 0);
     let mut summary = RunSummary::default();
     let mut ws = SimWorkspace::new(ctx, manager.solution());
+    let mut faults = TraceFaults::new(ctx, None);
     let mut last_reschedules = manager.stats().reschedules;
-    for v in vectors {
-        let r = ws.simulate(ctx, manager.solution(), v)?;
-        summary.absorb_outcome(&r);
-        note_instance(obs, ctx, &r);
+    for (i, v) in vectors.iter().enumerate() {
+        let (r, f) = faults.simulate(&mut ws, ctx, manager.solution(), v, i)?;
+        absorb_instance(&mut summary.exec, &mut summary.faults, obs, ctx, 0, &r, &f);
         let t0 = Instant::now();
         manager.observe(ctx, v)?;
         summary.resched_wall_s += t0.elapsed().as_secs_f64();
@@ -554,16 +460,11 @@ pub(crate) fn adaptive_resilient_run(
     let mut watchdog = Watchdog::new(*cfg)?;
     let mut summary = RunSummary::default();
     let mut ws = SimWorkspace::new(ctx, manager.solution());
-    let mut injector = FaultInjector::empty(ctx);
-    let mut log = FaultLog::default();
+    let mut faults = TraceFaults::new(ctx, Some(plan));
     let mut last_reschedules = manager.stats().reschedules;
     for (i, v) in vectors.iter().enumerate() {
-        injector.resample(plan, ctx, i as u64)?;
-        let r = ws.simulate_faulty(ctx, manager.solution(), v, plan, &injector, &mut log)?;
-        summary.absorb_outcome(&r);
-        summary.faults.absorb(&log.stats);
-        note_instance(obs, ctx, &r);
-        note_faults(obs, 0, &log.stats);
+        let (r, f) = faults.simulate(&mut ws, ctx, manager.solution(), v, i)?;
+        absorb_instance(&mut summary.exec, &mut summary.faults, obs, ctx, 0, &r, &f);
         let manage_t0 = Instant::now();
         match watchdog.record(r.deadline_met) {
             WatchdogVerdict::Hold => {}
@@ -793,38 +694,10 @@ pub fn run_periodic(
     if !(period.is_finite() && period > 0.0) {
         return Err(SchedError::InvalidParameter("period must be positive"));
     }
-    let ctg = ctx.ctg();
-    let platform = ctx.platform();
-    let comm = platform.comm();
-    let schedule = &solution.schedule;
-    let n = ctg.num_tasks();
-
-    // Static constraint structure (same as the instance simulator).
-    let mut preds: Vec<Vec<(ctg_model::TaskId, f64)>> = vec![Vec::new(); n];
-    for (_, e) in ctg.edges() {
-        preds[e.dst().index()].push((e.src(), e.comm_kbytes()));
-    }
-    for &(fork, or_node) in ctx.activation().implied_or_deps() {
-        preds[or_node.index()].push((fork, 0.0));
-    }
-    for pe in platform.pes() {
-        let order = schedule.pe_order(pe);
-        for i in 0..order.len() {
-            for j in (i + 1)..order.len() {
-                preds[order[j].index()].push((order[i], 0.0));
-            }
-        }
-    }
-    let mut order: Vec<ctg_model::TaskId> = ctg.tasks().collect();
-    order.sort_by(|&a, &b| {
-        schedule
-            .start(a)
-            .partial_cmp(&schedule.start(b))
-            .expect("finite start times")
-            .then(a.cmp(&b))
-    });
-
-    let mut pe_carry = vec![0.0_f64; platform.num_pes()];
+    let deadline = ctx.ctg().deadline();
+    let mut ws = SimWorkspace::new(ctx, solution);
+    let mut carry = vec![0.0_f64; ctx.platform().num_pes()];
+    let mut next = carry.clone();
     let mut summary = PeriodicSummary {
         instances: 0,
         overruns: 0,
@@ -833,50 +706,26 @@ pub fn run_periodic(
         horizon: 0.0,
     };
     for (i, v) in vectors.iter().enumerate() {
-        if v.len() != ctg.num_branches() {
-            return Err(SchedError::VectorArity {
-                expected: ctg.num_branches(),
-                got: v.len(),
-            });
-        }
         let release = i as f64 * period;
-        let active = v.active_tasks(ctg, ctx.activation());
-        let mut finish_at: Vec<Option<f64>> = vec![None; n];
-        let mut instance_end: f64 = release;
-        let mut next_carry = pe_carry.clone();
-        for &t in &order {
-            if !active[t.index()] {
-                continue;
-            }
-            let pe = schedule.pe_of(t);
-            let mut start = release.max(pe_carry[pe.index()]);
-            for &(p, kbytes) in &preds[t.index()] {
-                if !active[p.index()] {
-                    continue;
-                }
-                let pf = finish_at[p.index()].expect("topological processing");
-                start = start.max(pf + comm.delay(schedule.pe_of(p), pe, kbytes));
-            }
-            let speed = solution.speeds.speed(t);
-            let finish = start + platform.exec_time(t.index(), pe, speed);
-            finish_at[t.index()] = Some(finish);
-            next_carry[pe.index()] = next_carry[pe.index()].max(finish);
-            summary.total_energy += platform.exec_energy(t.index(), pe, speed);
-            instance_end = instance_end.max(finish);
-        }
-        for (_, e) in ctg.edges() {
-            if active[e.src().index()] && active[e.dst().index()] {
-                summary.total_energy += comm.energy(
-                    schedule.pe_of(e.src()),
-                    schedule.pe_of(e.dst()),
-                    e.comm_kbytes(),
-                );
-            }
-        }
-        pe_carry = next_carry;
-        let lateness = instance_end - (release + ctg.deadline());
+        next.copy_from_slice(&carry);
+        let out = ws.execute(
+            ctx,
+            &solution.schedule,
+            v,
+            &mut Periodic {
+                platform: ctx.platform(),
+                speeds: &solution.speeds,
+                release,
+                carry: &carry,
+                next: &mut next,
+            },
+        )?;
+        std::mem::swap(&mut carry, &mut next);
+        summary.total_energy += out.energy;
+        let instance_end = release.max(out.makespan);
+        let lateness = instance_end - (release + deadline);
         summary.max_lateness = summary.max_lateness.max(lateness);
-        summary.overruns += usize::from(lateness > 1e-9);
+        summary.overruns += usize::from(lateness > DEADLINE_TOL);
         summary.instances += 1;
         summary.horizon = summary.horizon.max(instance_end);
     }
@@ -884,6 +733,30 @@ pub fn run_periodic(
         summary.max_lateness = 0.0;
     }
     Ok(summary)
+}
+
+/// The periodic dispatcher: locked speeds, no task of an instance starting
+/// before its release or before the previous instance's last task on the
+/// same PE finished.
+struct Periodic<'a> {
+    platform: &'a Platform,
+    speeds: &'a SpeedAssignment,
+    release: f64,
+    /// Per-PE finish of the previous instances.
+    carry: &'a [f64],
+    /// Per-PE finish including this instance.
+    next: &'a mut [f64],
+}
+
+impl Dispatch for Periodic<'_> {
+    fn run(&mut self, t: TaskId, pe: PeId, start: f64, exec_energy: &mut f64) -> (f64, f64) {
+        let start = start.max(self.release.max(self.carry[pe.index()]));
+        let speed = self.speeds.speed(t);
+        let duration = self.platform.exec_time(t.index(), pe, speed);
+        self.next[pe.index()] = self.next[pe.index()].max(start + duration);
+        *exec_energy += self.platform.exec_energy(t.index(), pe, speed);
+        (start, duration)
+    }
 }
 
 #[cfg(test)]

@@ -82,10 +82,10 @@
 //!   ticks, after which one half-open probe solve decides between
 //!   re-admission and a doubled backoff.
 
-use crate::fault::{FaultInjector, FaultLog, FaultPlan, FaultStats};
+use crate::fault::{FaultInjector, FaultPlan, FaultStats, TraceFaults};
 use crate::instance::SimWorkspace;
 use crate::pool;
-use crate::runner::{note_faults, note_instance, note_slo_miss};
+use crate::runner::{absorb_instance, note_slo_miss};
 use crate::summary::{percentile_sorted, ExecStats, StreamLatency};
 use ctg_model::{BranchProbs, DecisionVector};
 use ctg_obs::{Counter, Obs, Stage};
@@ -952,9 +952,7 @@ struct StreamState<'a> {
     pos: usize,
     mgr: AdaptiveScheduler,
     sim: SimWorkspace,
-    plan: Option<&'a FaultPlan>,
-    injector: FaultInjector,
-    log: FaultLog,
+    faults: TraceFaults<'a>,
     /// Own plan cache ([`CacheMode::PerStream`] only).
     cache: Option<LruCache<ScheduleKey, CacheEntry>>,
     /// Quarantine circuit breaker ([`ServeConfig::quarantine`] only).
@@ -963,10 +961,6 @@ struct StreamState<'a> {
 }
 
 impl StreamSummary {
-    fn absorb_outcome(&mut self, r: &crate::instance::InstanceOutcome) {
-        self.exec.absorb_outcome(r);
-    }
-
     /// Renders the summary as one JSON object (hand-rolled: the workspace
     /// carries no serde).
     pub fn to_json(&self) -> String {
@@ -1179,9 +1173,7 @@ fn setup_streams<'a>(
             pos: 0,
             mgr,
             sim,
-            plan: spec.fault_plan.as_ref(),
-            injector: FaultInjector::empty(ctx),
-            log: FaultLog::default(),
+            faults: TraceFaults::new(ctx, spec.fault_plan.as_ref()),
             cache: per_stream_capacity.map(LruCache::new),
             breaker: cfg.quarantine.map(Breaker::new),
             summary: StreamSummary::default(),
@@ -1949,25 +1941,11 @@ fn start_service(
 ) -> Result<(), SchedError> {
     let arrival = es.queue.pop_front().expect("start_service on empty queue");
     let v = &st.trace[st.pos];
-    let outcome = match st.plan {
-        Some(plan) => {
-            st.injector.resample(plan, ctx, st.pos as u64)?;
-            let r = st.sim.simulate_faulty(
-                ctx,
-                st.mgr.solution(),
-                v,
-                plan,
-                &st.injector,
-                &mut st.log,
-            )?;
-            st.summary.faults.absorb(&st.log.stats);
-            note_faults(obs, track, &st.log.stats);
-            r
-        }
-        None => st.sim.simulate(ctx, st.mgr.solution(), v)?,
-    };
-    st.summary.absorb_outcome(&outcome);
-    note_instance(obs, ctx, &outcome);
+    let (outcome, f) = st
+        .faults
+        .simulate(&mut st.sim, ctx, st.mgr.solution(), v, st.pos)?;
+    let s = &mut st.summary;
+    absorb_instance(&mut s.exec, &mut s.faults, obs, ctx, track, &outcome, &f);
     st.pos += 1;
     st.mgr.record_observation(ctx, v)?;
     es.in_service = Some(arrival);
@@ -2184,25 +2162,11 @@ fn advance_stream(
         return Ok(());
     }
     let v = &st.trace[st.pos];
-    let outcome = match st.plan {
-        Some(plan) => {
-            st.injector.resample(plan, ctx, st.pos as u64)?;
-            let r = st.sim.simulate_faulty(
-                ctx,
-                st.mgr.solution(),
-                v,
-                plan,
-                &st.injector,
-                &mut st.log,
-            )?;
-            st.summary.faults.absorb(&st.log.stats);
-            note_faults(obs, track, &st.log.stats);
-            r
-        }
-        None => st.sim.simulate(ctx, st.mgr.solution(), v)?,
-    };
-    st.summary.absorb_outcome(&outcome);
-    note_instance(obs, ctx, &outcome);
+    let (outcome, f) = st
+        .faults
+        .simulate(&mut st.sim, ctx, st.mgr.solution(), v, st.pos)?;
+    let s = &mut st.summary;
+    absorb_instance(&mut s.exec, &mut s.faults, obs, ctx, track, &outcome, &f);
     st.pos += 1;
     st.mgr.record_observation(ctx, v)?;
     if let Some(b) = st.breaker.as_mut() {

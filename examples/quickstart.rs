@@ -43,9 +43,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut probs = BranchProbs::uniform(ctx.ctg());
     probs.set(decide, vec![0.7, 0.3])?;
 
-    // `DlsScheduler` is the paper's pipeline behind the `CtgScheduler`
-    // trait; `HeftScheduler` and friends are drop-in alternatives.
-    let solution = DlsScheduler::new().solve(&ctx, &probs)?;
+    // `OnlineScheduler` is the paper's pipeline (the "dls" `CtgScheduler`);
+    // `HeftScheduler` and friends are drop-in alternatives.
+    let solution = OnlineScheduler::new().solve(&ctx, &probs)?;
     for kind in [SchedulerKind::Heft, SchedulerKind::Lookahead] {
         let alt = kind.solve(&ctx, &probs)?;
         println!(

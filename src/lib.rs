@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::obs::{BufferedSink, MetricsSnapshot, Obs};
     pub use crate::platform::{Platform, PlatformBuilder};
     pub use crate::sched::{
-        parse_scheduler_selection, AdaptiveScheduler, CtgScheduler, DlsScheduler, EstimatorKind,
+        parse_scheduler_selection, AdaptiveScheduler, CtgScheduler, EstimatorKind,
         FrameDvfsScheduler, HeftScheduler, LookaheadScheduler, OnlineScheduler, PortfolioStats,
         SchedContext, SchedError, SchedulerKind, Solution, DEFAULT_PORTFOLIO,
     };

@@ -1,9 +1,10 @@
 //! PR 10 contract tests for the [`CtgScheduler`] trait and portfolio
 //! racing.
 //!
-//! * **Trait-equivalence pin** — [`DlsScheduler`] (and
-//!   [`SchedulerKind::Dls`]) must be bit-for-bit identical to the seed
-//!   [`OnlineScheduler`] pipeline on both TGFF families, warm and cold.
+//! * **Trait-equivalence pin** — [`OnlineScheduler`] through the
+//!   [`CtgScheduler`] trait (and [`SchedulerKind::Dls`]) must be
+//!   bit-for-bit identical to its inherent solve on both TGFF families,
+//!   warm and cold.
 //! * **Determinism matrix** — a portfolio race crowns the same winner
 //!   with a bit-identical plan at any intra-solve worker count, and the
 //!   serve engine's stream summaries and win counters survive any
@@ -14,8 +15,8 @@
 
 use adaptive_dvfs::ctg::{BranchProbs, Ctg, DecisionVector};
 use adaptive_dvfs::sched::{
-    race_portfolio, validate_solution, AdaptiveScheduler, CtgScheduler, DlsScheduler,
-    OnlineScheduler, SchedContext, SchedulerKind, SolverWorkspace, DEFAULT_PORTFOLIO,
+    race_portfolio, validate_solution, AdaptiveScheduler, CtgScheduler, OnlineScheduler,
+    SchedContext, SchedulerKind, SolverWorkspace, DEFAULT_PORTFOLIO,
 };
 use adaptive_dvfs::sim::serve::{run_serve, CacheMode, ServeConfig, StreamSpec};
 use adaptive_dvfs::sim::{RunConfig, Runner};
@@ -106,7 +107,7 @@ fn dls_via_trait_is_bit_identical_to_online_scheduler() {
             };
             let label = format!("case {seed} step {step}");
             let online = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
-            let via_struct = DlsScheduler::new().solve(&ctx, &probs).unwrap();
+            let via_struct = CtgScheduler::solve(&OnlineScheduler::new(), &ctx, &probs).unwrap();
             assert_bit_identical(&ctx, &probs, &online, &via_struct, &label);
             let via_kind = SchedulerKind::Dls.solve(&ctx, &probs).unwrap();
             assert_bit_identical(&ctx, &probs, &online, &via_kind, &label);
@@ -121,9 +122,9 @@ fn dls_via_trait_is_bit_identical_to_online_scheduler() {
         for step in 0..6 {
             let probs = drift_table(ctx.ctg(), step);
             let cold = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
-            let warm = DlsScheduler::new()
-                .solve_with_workspace(&ctx, &probs, &mut ws)
-                .unwrap();
+            let warm =
+                CtgScheduler::solve_with_workspace(&OnlineScheduler::new(), &ctx, &probs, &mut ws)
+                    .unwrap();
             assert_bit_identical(
                 &ctx,
                 &probs,
