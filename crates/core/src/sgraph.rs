@@ -109,8 +109,9 @@ pub struct SPath {
     /// The set of scenarios in which the path exists — the paper's minterm
     /// of the path, represented over the scenario enumeration.
     pub cond: ScenarioMask,
-    /// Current path delay: execution times (updated as tasks are stretched)
-    /// plus fixed edge delays.
+    /// Nominal path delay: execution times at full speed plus fixed edge
+    /// delays. Stretching never mutates the graph; it tracks stretched
+    /// delays in its own buffer.
     pub delay: f64,
     /// Branch guards on the path, with the path position of the deciding
     /// fork node.
@@ -127,11 +128,7 @@ impl SPath {
     }
 
     /// The path's end-to-end delay when its tasks run at the given speeds
-    /// (communication delays are fixed).
-    ///
-    /// Note: `self.delay` reflects *nominal* execution times only when the
-    /// path comes fresh out of [`ScheduledGraph::build`]; this method always
-    /// recomputes from the nominal WCETs.
+    /// (communication delays are fixed), recomputed from the nominal WCETs.
     pub fn stretched_delay(
         &self,
         ctx: &SchedContext,
@@ -471,7 +468,7 @@ impl ScheduledGraph {
         &self.paths
     }
 
-    /// Mutable access to the paths (the stretching loop updates delays).
+    /// Mutable access to the paths (re-weighting updates probabilities).
     pub fn paths_mut(&mut self) -> &mut [SPath] {
         &mut self.paths
     }
@@ -503,15 +500,6 @@ impl ScheduledGraph {
     /// [`ScheduledGraph::spanning`].
     pub(crate) fn spanning_at(&self, task: TaskId) -> &[u32] {
         &self.span_at[task.index()]
-    }
-
-    /// Adds `extra` to the delay of every path spanning `task` — the
-    /// stretching loop's propagation step, without cloning the spanning
-    /// list to appease the borrow checker.
-    pub fn add_delay_to_spanning(&mut self, task: TaskId, extra: f64) {
-        for &idx in &self.spanning[task.index()] {
-            self.paths[idx].delay += extra;
-        }
     }
 
     /// The worst-case end-to-end delay: the maximum path delay.

@@ -66,10 +66,11 @@ pub fn enumerate_paths(ctg: &Ctg, cap: usize) -> Option<Vec<CtgPath>> {
 }
 
 /// The paper's `prob(p, τ)`: the joint probability of the conditional
-/// branches lying on path `p` strictly **after** node `τ`.
+/// branches decided on path `p` at or after node `τ`.
 ///
 /// Branch decisions are taken at fork nodes; a literal "counts" when its fork
-/// node appears on the path at or after the position of `τ`.
+/// node appears on the path at or after the position of `τ` (so a fork
+/// counts its own decision).
 ///
 /// # Panics
 ///
