@@ -37,6 +37,13 @@ echo "    SolverWorkspace::solve case reads)"
 cargo test -q --offline --test stretch_oracle
 CTG_INTRA_SOLVE=2 cargo test -q --offline --test stretch_oracle
 
+echo "==> race and makespan-DP oracles (warm portfolio races with pooled and"
+echo "    shared list-entry stretches == a cold reference race, and the mask DP =="
+echo "    the per-scenario DP, bit for bit; plain and with 2 intra-solve workers"
+echo "    forced, which the list entries' path enumeration reads)"
+cargo test -q --offline --test race_oracle --test makespan_dp_oracle
+CTG_INTRA_SOLVE=2 cargo test -q --offline --test race_oracle --test makespan_dp_oracle
+
 echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm p99 must"
 echo "    stay within 2x of the committed BASELINE_solver.json snapshot)"
 cargo build -q --release --offline -p ctg-bench --bin solver

@@ -599,9 +599,10 @@ impl AdaptiveScheduler {
     /// resilient solves (`deadline_guard < 1.0`) intentionally stay
     /// DLS-only — the degradation ladder's contract predates the portfolio
     /// — and a budgeted workspace only constrains the DLS entry. Every entry
-    /// gets its own workspace, but only the DLS entry reads it: the other
-    /// kinds run a cold list pass and a cold stretch on every race, so a
-    /// race costs several warm DLS solves (DESIGN.md §18.2). The
+    /// gets its own workspace: the DLS entry uses all of its warm layers,
+    /// HEFT and lookahead stretch through its one-graph pool (their list
+    /// passes are cheap and run on every race), and the frame baseline
+    /// runs cold (DESIGN.md §18.2 has the race breakdown). The
     /// construction solve already happened, so the incumbent plan is
     /// unchanged until the next drift event.
     ///

@@ -125,6 +125,12 @@ impl ScenarioMask {
             .flat_map(|(w, &word)| WordBits { word, base: w * 64 })
     }
 
+    /// The mask's words: scenario `i` is bit `i % 64` of word `i / 64`, and
+    /// bits at or past the set's size are clear.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Removes every scenario from the set, keeping its width.
     pub fn clear(&mut self) {
         for w in &mut self.bits {

@@ -32,14 +32,21 @@
 //! count, and a portfolio listing DLS first can never adopt a plan with
 //! higher expected energy than DLS alone would.
 //!
+//! Before any entry stretches, the race runs the HEFT-family list passes
+//! (cheap next to a stretch) and stretches each distinct (schedule,
+//! stretch configuration) once: a later entry whose list schedule equals an
+//! earlier entry's takes a clone of that entry's result.
+//!
 //! Determinism: every implementor is a pure function of
-//! `(ctx, probs, configuration)`. The DLS entry reuses the workspace's
-//! warm-start layers (whose warm == cold contract is pinned in
-//! `tests/solver_equivalence.rs`); the other implementors ignore the
-//! workspace and run cold each call. Their list passes are cheap, but each
-//! is followed by a full cold stretch (path enumeration plus the slack
-//! sweeps), and those cold stretches are most of a race's solve time
-//! (DESIGN.md §18.2 has the measured breakdown).
+//! `(ctx, probs, configuration)`. The DLS entry reuses all of the
+//! workspace's warm-start layers (whose warm == cold contract is pinned in
+//! `tests/solver_equivalence.rs`). [`HeftScheduler`] and
+//! [`LookaheadScheduler`] stretch through the workspace's scheduled-graph
+//! pool, keeping one graph — an entry repeats its own previous list
+//! schedule in about a third of MPEG drift races, and a hit skips the path
+//! enumeration (`tests/race_oracle.rs` pins warm races to cold ones bit for
+//! bit). [`FrameDvfsScheduler`] ignores the workspace and runs cold
+//! (DESIGN.md §18.2 has the measured race breakdown).
 
 use crate::context::SchedContext;
 use crate::dls::{dls_schedule, earliest_start};
@@ -48,7 +55,7 @@ use crate::online::{OnlineScheduler, Solution, SCHEDULABILITY_TOL};
 use crate::schedule::Schedule;
 use crate::speed::{expected_energy_weighted, SpeedAssignment};
 use crate::static_level::static_levels;
-use crate::stretch::{stretch_schedule, StretchConfig};
+use crate::stretch::StretchConfig;
 use crate::workspace::SolverWorkspace;
 use ctg_model::{BranchProbs, TaskId};
 use ctg_obs::{Counter, Obs, Stage};
@@ -63,8 +70,9 @@ use mpsoc_platform::PeId;
 /// winners through exact-probability-guarded caches, both of which are
 /// only sound when re-solving the same inputs cannot produce different
 /// bits. The workspace parameter carries warm-start state for implementors
-/// that use it (the DLS pipeline); implementors without warm layers ignore
-/// it.
+/// that use it (the DLS pipeline uses every layer, the HEFT-family entries
+/// its scheduled-graph pool); implementors without warm layers ignore it.
+/// A fresh workspace is the cold path.
 pub trait CtgScheduler {
     /// Short stable identifier ("dls", "heft", …) used in bench columns
     /// and win counters.
@@ -147,10 +155,10 @@ impl CtgScheduler for HeftScheduler {
         &self,
         ctx: &SchedContext,
         probs: &BranchProbs,
-        _workspace: &mut SolverWorkspace,
+        workspace: &mut SolverWorkspace,
     ) -> Result<Solution, SchedError> {
-        let schedule = eft_list_schedule(ctx, probs, false)?;
-        stretch_solution(ctx, probs, schedule, &self.cfg)
+        let schedule = eft_list_schedule(ctx, &static_levels(ctx, probs), false)?;
+        workspace.stretch_list_schedule(&self.cfg, ctx, probs, schedule)
     }
 }
 
@@ -185,10 +193,10 @@ impl CtgScheduler for LookaheadScheduler {
         &self,
         ctx: &SchedContext,
         probs: &BranchProbs,
-        _workspace: &mut SolverWorkspace,
+        workspace: &mut SolverWorkspace,
     ) -> Result<Solution, SchedError> {
-        let schedule = eft_list_schedule(ctx, probs, true)?;
-        stretch_solution(ctx, probs, schedule, &self.cfg)
+        let schedule = eft_list_schedule(ctx, &static_levels(ctx, probs), true)?;
+        workspace.stretch_list_schedule(&self.cfg, ctx, probs, schedule)
     }
 }
 
@@ -247,7 +255,8 @@ impl CtgScheduler for FrameDvfsScheduler {
 }
 
 /// Shared EFT list-scheduling loop of [`HeftScheduler`] and
-/// [`LookaheadScheduler`].
+/// [`LookaheadScheduler`], over the probability-weighted upward `ranks`
+/// ([`static_levels`] of the table).
 ///
 /// Ready tasks are ordered by descending probability-weighted rank (ties
 /// on the lower task id); the selected task goes to the feasible PE with
@@ -257,10 +266,9 @@ impl CtgScheduler for FrameDvfsScheduler {
 /// mutex-overlap exemption as the DLS pass ([`earliest_start`]).
 fn eft_list_schedule(
     ctx: &SchedContext,
-    probs: &BranchProbs,
+    ranks: &[f64],
     lookahead: bool,
 ) -> Result<Schedule, SchedError> {
-    let ranks = static_levels(ctx, probs);
     let ctg = ctx.ctg();
     let platform = ctx.platform();
     let profile = platform.profile();
@@ -316,7 +324,7 @@ fn eft_list_schedule(
             }
             let eft = at + profile.wcet(t.index(), pe);
             let score = if lookahead {
-                eft + lookahead_penalty(ctx, &ranks, t, pe, eft)
+                eft + lookahead_penalty(ctx, ranks, t, pe, eft)
             } else {
                 eft
             };
@@ -409,24 +417,6 @@ fn lookahead_penalty(ctx: &SchedContext, ranks: &[f64], t: TaskId, pe: PeId, eft
     best.map_or(0.0, |b| (b - eft).max(0.0))
 }
 
-/// Shared tail of the HEFT-family entries: the online pipeline's deadline
-/// check (same epsilon and error as [`OnlineScheduler::solve`]) followed by
-/// the probability-weighted stretching pass.
-fn stretch_solution(
-    ctx: &SchedContext,
-    probs: &BranchProbs,
-    schedule: Schedule,
-    cfg: &StretchConfig,
-) -> Result<Solution, SchedError> {
-    let makespan = schedule.makespan();
-    let deadline = ctx.ctg().deadline();
-    if makespan > deadline + 1e-9 {
-        return Err(SchedError::DeadlineUnreachable { makespan, deadline });
-    }
-    let speeds = stretch_schedule(ctx, probs, &schedule, cfg)?;
-    Ok(Solution { schedule, speeds })
-}
-
 /// A portfolio entry selector: which [`CtgScheduler`] implementation to
 /// run, each at its default configuration. A plain `Copy` enum (rather
 /// than boxed trait objects) keeps every carrier — managers, configs,
@@ -484,6 +474,17 @@ impl SchedulerKind {
         Self::ALL
             .into_iter()
             .find(|k| t.eq_ignore_ascii_case(k.name()))
+    }
+
+    /// For the HEFT-family kinds, the list pass's lookahead flag and the
+    /// stretch configuration of the kind's default entry; `None` for kinds
+    /// that solve through their own pipeline.
+    fn list_entry(self) -> Option<(bool, StretchConfig)> {
+        match self {
+            SchedulerKind::Heft => Some((false, HeftScheduler::new().cfg)),
+            SchedulerKind::Lookahead => Some((true, LookaheadScheduler::new().cfg)),
+            SchedulerKind::Dls | SchedulerKind::FrameDvfs => None,
+        }
     }
 
     /// Solves through a fresh workspace (see
@@ -577,14 +578,32 @@ pub struct RaceOutcome {
     pub energy: f64,
 }
 
+/// What one race entry still has to do once the list passes have run.
+enum RaceJob {
+    /// Solve through the entry's own pipeline (DLS, frame).
+    Solve,
+    /// Stretch this list schedule under this configuration through the
+    /// entry's workspace.
+    Stretch(Schedule, StretchConfig),
+    /// The list pass failed with this error.
+    Failed(SchedError),
+    /// Same list schedule and configuration as this earlier entry: take a
+    /// clone of its result.
+    Share(usize),
+}
+
 /// Races `kinds` over one probability table and crowns the winner.
 ///
-/// Entries are evaluated against their own workspace (`workspaces[i]`
-/// belongs to `kinds[i]`; per-entry state never mixes across schedulers,
-/// so the DLS entry's memo keys stay sound). With `workers > 1` the
-/// evaluations fan out on the intra-solve pool
-/// ([`crate::par::map_ordered`]) and merge in submission order; the
-/// verdict is then a **sequential fold in entry order**:
+/// The HEFT-family entries' list schedules are computed first, on the
+/// caller's thread. Entries are then evaluated against their own workspace
+/// (`workspaces[i]` belongs to `kinds[i]`; per-entry state never mixes
+/// across schedulers, so the DLS entry's memo keys stay sound), except that
+/// an entry whose list schedule and stretch configuration equal an earlier
+/// entry's gets a clone of that entry's result and leaves its workspace
+/// untouched — at any `workers`. With `workers > 1` the evaluations fan out
+/// on the intra-solve pool ([`crate::par::map_ordered`]) and merge in
+/// submission order; the verdict is then a **sequential fold in entry
+/// order**:
 ///
 /// 1. among candidates whose worst-case makespan is within the deadline
 ///    (`wcm <= deadline + 1e-6`, the tolerance of the adaptive manager's
@@ -598,8 +617,11 @@ pub struct RaceOutcome {
 /// 3. if every entry failed, the first error in entry order propagates.
 ///
 /// The fold never consults timing, so the winner is bit-identical at any
-/// `workers`. A `portfolio_race` span records the winner index (`-1` when
-/// every entry failed).
+/// `workers`; a shared entry ties its source's energy and makespan, so
+/// strict `<` keeps the earlier entry exactly as a separate solve would. In
+/// debug and test builds every schedulable candidate must also pass
+/// [`crate::validate_solution`]. A `portfolio_race` span records the winner
+/// index (`-1` when every entry failed).
 ///
 /// # Errors
 ///
@@ -629,24 +651,74 @@ pub fn race_portfolio(
     let span = obs.span(track, Stage::PortfolioRace);
     obs.count(Counter::PortfolioRaces, 1);
 
-    let results: Vec<Result<Solution, SchedError>> = if workers > 1 && kinds.len() > 1 {
-        // Each entry solves against its own (mutex-wrapped) workspace;
-        // every index is claimed exactly once, so the locks never contend
-        // — they only let `&mut` state cross the scoped-thread boundary.
-        let slots: Vec<std::sync::Mutex<&mut SolverWorkspace>> =
-            workspaces.iter_mut().map(std::sync::Mutex::new).collect();
-        let idx: Vec<usize> = (0..kinds.len()).collect();
-        crate::par::map_ordered(&idx, workers, |_, &i| {
-            let mut ws = slots[i].lock().expect("race workspace lock");
-            kinds[i].solve_with_workspace(ctx, probs, &mut ws)
+    // The list entries' EFT passes are cheap next to any stretch, so they
+    // all run first, on the caller's thread, over one shared rank table.
+    // Knowing every list schedule up front lets an entry whose (schedule,
+    // stretch configuration) equals an earlier entry's take a clone of that
+    // entry's result instead of stretching the same plan again: the
+    // stretch is a pure function of (ctx, probs, schedule, config).
+    let ranks = kinds
+        .iter()
+        .any(|k| k.list_entry().is_some())
+        .then(|| static_levels(ctx, probs));
+    let mut jobs: Vec<RaceJob> = Vec::with_capacity(kinds.len());
+    for kind in kinds {
+        let job = match (kind.list_entry(), &ranks) {
+            (Some((lookahead, cfg)), Some(ranks)) => match eft_list_schedule(ctx, ranks, lookahead)
+            {
+                Err(e) => RaceJob::Failed(e),
+                Ok(schedule) => match jobs.iter().position(
+                    |j| matches!(j, RaceJob::Stretch(s, c) if *s == schedule && *c == cfg),
+                ) {
+                    Some(earlier) => RaceJob::Share(earlier),
+                    None => RaceJob::Stretch(schedule, cfg),
+                },
+            },
+            _ => RaceJob::Solve,
+        };
+        jobs.push(job);
+    }
+    let shares: Vec<Option<usize>> = jobs
+        .iter()
+        .map(|j| match j {
+            RaceJob::Share(earlier) => Some(*earlier),
+            _ => None,
         })
-    } else {
-        kinds
-            .iter()
-            .zip(workspaces.iter_mut())
-            .map(|(k, ws)| k.solve_with_workspace(ctx, probs, ws))
-            .collect()
+        .collect();
+    let own: Vec<usize> = (0..kinds.len()).filter(|&i| shares[i].is_none()).collect();
+
+    // Each entry runs against its own (mutex-wrapped) workspace; every
+    // index is claimed exactly once, so the locks never contend — they
+    // only let `&mut` state cross the scoped-thread boundary.
+    let slots: Vec<std::sync::Mutex<(Option<RaceJob>, &mut SolverWorkspace)>> = jobs
+        .into_iter()
+        .zip(workspaces.iter_mut())
+        .map(|(job, ws)| std::sync::Mutex::new((Some(job), ws)))
+        .collect();
+    let run = |i: usize| {
+        let mut slot = slots[i].lock().expect("race workspace lock");
+        let (job, ws) = &mut *slot;
+        match job.take().expect("each entry runs once") {
+            RaceJob::Solve => kinds[i].solve_with_workspace(ctx, probs, ws),
+            RaceJob::Stretch(schedule, cfg) => ws.stretch_list_schedule(&cfg, ctx, probs, schedule),
+            RaceJob::Failed(e) => Err(e),
+            RaceJob::Share(_) => unreachable!("shared entries are not run"),
+        }
     };
+    let mut solved = if workers > 1 && own.len() > 1 {
+        crate::par::map_ordered(&own, workers, |_, &i| run(i))
+    } else {
+        own.iter().map(|&i| run(i)).collect()
+    }
+    .into_iter();
+    let mut results: Vec<Result<Solution, SchedError>> = Vec::with_capacity(kinds.len());
+    for share in &shares {
+        let r = match share {
+            Some(earlier) => results[*earlier].clone(),
+            None => solved.next().expect("one result per entry that ran"),
+        };
+        results.push(r);
+    }
 
     // Every candidate is priced against the same table, so its activation
     // weights are derived once per race rather than once per candidate.
@@ -658,6 +730,15 @@ pub fn race_portfolio(
         let Ok(sol) = r else { continue };
         let wcm = sol.worst_case_makespan(ctx);
         if wcm <= deadline + SCHEDULABILITY_TOL {
+            // The adoption gate: a plan that passes the schedulability
+            // test must also pass the full structural check (debug and
+            // test builds only — release races pay nothing).
+            debug_assert_eq!(
+                crate::validate::validate_solution(ctx, &sol.schedule, &sol.speeds),
+                Ok(()),
+                "race entry {i} ({}) passed the schedulability test with an invalid plan",
+                kinds[i]
+            );
             let e = expected_energy_weighted(ctx, &weights, &sol.schedule, &sol.speeds);
             if best.is_none_or(|(_, be)| e < be) {
                 best = Some((i, e));

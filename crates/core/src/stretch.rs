@@ -494,10 +494,11 @@ pub(crate) fn stretch_on_graph(
 /// A path's distributable slack ratio `(deadline - delay) / delay`.
 ///
 /// Non-increasing in `delay` on `0 < delay <= deadline` under
-/// round-to-nearest: for `delay >= deadline / 2` Sterbenz makes `deadline -
-/// delay` exact, so the quotient is the correctly rounded `deadline / delay
-/// - 1`; below `deadline / 2` the numerator is positive, no smaller than
-/// any larger delay's, and divided by a smaller denominator. So on a run
+/// round-to-nearest: for `delay >= deadline / 2` Sterbenz makes
+/// `deadline - delay` exact, so the quotient is the correctly rounded
+/// `deadline / delay - 1`; below `deadline / 2` the numerator is positive,
+/// no smaller than any larger delay's, and divided by a smaller
+/// denominator. So on a run
 /// whose delays stay within the deadline, the smallest ratio is the ratio
 /// of its largest delay.
 fn path_ratio(deadline: f64, delay: f64) -> f64 {

@@ -22,7 +22,9 @@
 //!    delays and path conditions do not depend on the probabilities — is
 //!    reused and only the path probabilities are re-weighted in O(paths),
 //!    skipping the transitive reduction and the worst-case-exponential path
-//!    enumeration.
+//!    enumeration. The HEFT-family portfolio entries stretch through this
+//!    layer alone, with a one-graph pool
+//!    ([`SolverWorkspace::stretch_list_schedule`]).
 //! 4. **Memoisation**: a solve for the exact probability table and stretch
 //!    configuration of the previous solve returns its solution — the
 //!    solver is deterministic, so re-running it cannot produce anything
@@ -194,6 +196,13 @@ struct GraphEntry {
 /// set of a feature-length MPEG drift run: an LRU scanned by a working set
 /// just over its capacity thrashes to ~0 hits.
 const GRAPH_POOL_CAP: usize = 64;
+
+/// Pool size of a list-scheduler portfolio entry (see
+/// [`SolverWorkspace::stretch_list_schedule`]). One graph catches nearly
+/// every repeat a 64-graph pool would on MPEG drift (each entry repeats
+/// its previous schedule in about a third of races), without growing every
+/// racing entry a DLS-sized pool.
+const LIST_POOL_CAP: usize = 1;
 
 /// Pool-scan prefilter: hashes the schedule's mapping and order (plus the
 /// path cap). Start/finish times are a pure function of mapping + order
@@ -391,6 +400,193 @@ impl SolverWorkspace {
         e
     }
 
+    /// Binds the workspace to `ctx`, dropping every warm layer when the
+    /// context differs (by content) from the one the state was built for.
+    fn bind(&mut self, ctx: &SchedContext) {
+        let bound_matches = self
+            .bound
+            .as_ref()
+            .is_some_and(|b| b.ctg == *ctx.ctg() && b.platform == *ctx.platform());
+        if bound_matches {
+            return;
+        }
+        if self.bound.is_some() {
+            self.stats.rebinds += 1;
+        }
+        self.bound = Some(Bound {
+            ctg: ctx.ctg().clone(),
+            platform: ctx.platform().clone(),
+        });
+        self.sl_probs = None;
+        self.last = None;
+        self.graphs.clear();
+        // Near-memo entries are premised on the old context; keep the
+        // configuration (quantum, capacity) but drop every entry.
+        if let Some(near) = self.near.as_mut() {
+            near.cache.clear();
+        }
+    }
+
+    /// Layer 3, the stretch of a committed schedule: reuse a pooled
+    /// scheduled graph when the pool has seen this mapping/order, else
+    /// build one and insert it, evicting least-recently-used entries down
+    /// to `pool_cap`. Topology, delays, conditions and guards are
+    /// probability-independent; only the path probabilities need
+    /// re-weighting. A `None` graph is equally reusable: whether the
+    /// enumeration exceeds the cap depends on (schedule, cap) alone.
+    /// Entries are unique per (schedule, cap).
+    ///
+    /// Returns the speeds and the [`Stage::Solve`] span arg naming the
+    /// route taken. A budget abort leaves the pool intact.
+    #[allow(clippy::too_many_arguments)]
+    fn stretch_pooled(
+        &mut self,
+        cfg: &StretchConfig,
+        ctx: &SchedContext,
+        probs: &BranchProbs,
+        schedule: &Schedule,
+        pool_cap: usize,
+        workers: usize,
+        meter: &mut WorkMeter,
+        obs: &Obs,
+        track: u32,
+    ) -> Result<(SpeedAssignment, i64), SchedError> {
+        let fp = graph_fp(schedule, cfg.path_cap);
+        let hit = self
+            .graphs
+            .iter()
+            .position(|e| e.fp == fp && e.path_cap == cfg.path_cap && e.schedule == *schedule);
+        if let Some(i) = hit {
+            // Re-charge the stored enumeration cost *before* touching the
+            // entry: a budget abort must leave the pool intact and land on
+            // the same verdict a cold enumeration would (the cost is a pure
+            // function of (schedule, cap)).
+            meter.charge(self.graphs[i].enum_units)?;
+            self.stats.graph_reuses += 1;
+            obs.instant(track, Stage::PoolHit, 1);
+            self.graph_clock += 1;
+            let stretch_span = obs.span(track, Stage::Stretch);
+            let Self {
+                graphs,
+                scratch,
+                reweight_scratch,
+                graph_clock,
+                ..
+            } = self;
+            let entry = &mut graphs[i];
+            entry.stamp = *graph_clock;
+            let speeds = match entry.graph.as_mut() {
+                Some(g) => {
+                    if entry.probs != *probs {
+                        entry.groups.reweight_with(ctx, probs, g, reweight_scratch);
+                        entry.probs = probs.clone();
+                    }
+                    stretch_on_graph(ctx, probs, schedule, cfg, g, &entry.groups, None, scratch)
+                }
+                None => critical_path_fallback(ctx, probs, schedule, cfg),
+            };
+            stretch_span.end(1);
+            return Ok((speeds, SOLVE_VIA_POOL));
+        }
+
+        self.stats.graph_rebuilds += 1;
+        let enum_span = obs.span(track, Stage::PathEnum);
+        if workers > 1 && meter.is_unlimited() {
+            obs.instant(track, Stage::PathEnumPar, workers as i64);
+        }
+        let enum_start = meter.spent();
+        let built =
+            ScheduledGraph::build_metered_par(ctx, schedule, probs, cfg.path_cap, workers, meter)?;
+        let enum_units = meter.spent() - enum_start;
+        let (graph, groups) = match built {
+            Some(g) => {
+                let groups = PathGroups::of(&g);
+                (Some(g), groups)
+            }
+            None => (None, PathGroups::default()),
+        };
+        // arg: 1 when the enumeration fit the cap, 0 when it overflowed
+        // (and the critical-path fallback runs).
+        enum_span.end(i64::from(graph.is_some()));
+        let stretch_span = obs.span(track, Stage::Stretch);
+        let speeds = match &graph {
+            Some(g) => stretch_on_graph(
+                ctx,
+                probs,
+                schedule,
+                cfg,
+                g,
+                &groups,
+                None,
+                &mut self.scratch,
+            ),
+            None => critical_path_fallback(ctx, probs, schedule, cfg),
+        };
+        stretch_span.end(0);
+        while self.graphs.len() >= pool_cap.max(1) {
+            let victim = self
+                .graphs
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(i, _)| i)
+                .expect("a full pool has a least-recently-used entry");
+            self.graphs.swap_remove(victim);
+        }
+        self.graph_clock += 1;
+        self.graphs.push(GraphEntry {
+            fp,
+            stamp: self.graph_clock,
+            schedule: schedule.clone(),
+            path_cap: cfg.path_cap,
+            graph,
+            groups,
+            probs: probs.clone(),
+            enum_units,
+        });
+        Ok((speeds, SOLVE_VIA_REBUILD))
+    }
+
+    /// Stretches a list scheduler's committed `schedule` (the HEFT-family
+    /// portfolio entries) through this workspace's graph pool: the
+    /// deadline check, configuration check and layer-3 stretch of
+    /// [`SolverWorkspace::solve`], without its DLS, memo or static-level
+    /// layers. The pool keeps at most [`LIST_POOL_CAP`] graphs here — a
+    /// list entry mostly repeats its own previous schedule, rarely an older
+    /// one. List entries ignore the work budget and record no telemetry, so
+    /// the solve-stage spans and counters keep describing the DLS pipeline
+    /// alone. Bit-identical to a cold
+    /// [`stretch_schedule`](crate::stretch_schedule) after the same checks.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::DeadlineUnreachable`] when the schedule misses the
+    /// deadline at full speed; invalid stretch configurations.
+    pub(crate) fn stretch_list_schedule(
+        &mut self,
+        cfg: &StretchConfig,
+        ctx: &SchedContext,
+        probs: &BranchProbs,
+        schedule: Schedule,
+    ) -> Result<Solution, SchedError> {
+        self.stats.solves += 1;
+        self.bind(ctx);
+        check_stretchable(ctx, &schedule, cfg)?;
+        let workers = self.intra_workers.max(1);
+        let (speeds, _) = self.stretch_pooled(
+            cfg,
+            ctx,
+            probs,
+            &schedule,
+            LIST_POOL_CAP,
+            workers,
+            &mut WorkMeter::unlimited(),
+            &Obs::disabled(),
+            0,
+        )?;
+        Ok(Solution { schedule, speeds })
+    }
+
     /// Solves `ctx` under `probs` with warm-start state, producing the
     /// exact solution (and the exact error, if any) a fresh
     /// [`OnlineScheduler::solve`](crate::OnlineScheduler::solve) with the
@@ -414,27 +610,7 @@ impl SolverWorkspace {
         let solve_span = obs.span(track, Stage::Solve);
         obs.count(Counter::SolverCalls, 1);
         self.stats.solves += 1;
-        let bound_matches = self
-            .bound
-            .as_ref()
-            .is_some_and(|b| b.ctg == *ctx.ctg() && b.platform == *ctx.platform());
-        if !bound_matches {
-            if self.bound.is_some() {
-                self.stats.rebinds += 1;
-            }
-            self.bound = Some(Bound {
-                ctg: ctx.ctg().clone(),
-                platform: ctx.platform().clone(),
-            });
-            self.sl_probs = None;
-            self.last = None;
-            self.graphs.clear();
-            // Near-memo entries are premised on the old context; keep the
-            // configuration (quantum, capacity) but drop every entry.
-            if let Some(near) = self.near.as_mut() {
-                near.cache.clear();
-            }
-        }
+        self.bind(ctx);
 
         let mut meter = WorkMeter::from_limit(self.budget);
 
@@ -527,141 +703,22 @@ impl SolverWorkspace {
             Err(e) => return Err(self.note_budget_abort(&obs, track, e)),
         };
         dls_span.end(ctx.ctg().num_tasks() as i64);
-        let makespan = schedule.makespan();
-        let deadline = ctx.ctg().deadline();
-        if makespan > deadline + 1e-9 {
-            return Err(SchedError::DeadlineUnreachable { makespan, deadline });
-        }
-        validate_config(cfg)?;
+        check_stretchable(ctx, &schedule, cfg)?;
 
-        // Layer 3: reuse a pooled scheduled graph when DLS returned a
-        // mapping/order the pool has seen. Topology, delays, conditions and
-        // guards are probability-independent; only the path probabilities
-        // need re-weighting. A `None` graph is equally reusable: whether
-        // the enumeration exceeds the cap depends on (schedule, cap) alone.
-        // Entries are unique per (schedule, cap); a hit moves its entry to
-        // the most-recently-used end.
-        let fp = graph_fp(&schedule, cfg.path_cap);
-        let hit = self
-            .graphs
-            .iter()
-            .position(|e| e.fp == fp && e.path_cap == cfg.path_cap && e.schedule == schedule);
-        let via = if hit.is_some() {
-            SOLVE_VIA_POOL
-        } else {
-            SOLVE_VIA_REBUILD
-        };
-        let speeds = match hit {
-            Some(i) => {
-                // Re-charge the stored enumeration cost *before* touching
-                // the entry: a budget abort must leave the pool intact and
-                // land on the same verdict a cold enumeration would (the
-                // cost is a pure function of (schedule, cap)).
-                if let Err(e) = meter.charge(self.graphs[i].enum_units) {
-                    return Err(self.note_budget_abort(&obs, track, e));
-                }
-                self.stats.graph_reuses += 1;
-                obs.instant(track, Stage::PoolHit, 1);
-                self.graph_clock += 1;
-                let stretch_span = obs.span(track, Stage::Stretch);
-                let Self {
-                    graphs,
-                    scratch,
-                    reweight_scratch,
-                    graph_clock,
-                    ..
-                } = self;
-                let entry = &mut graphs[i];
-                entry.stamp = *graph_clock;
-                let speeds = match entry.graph.as_mut() {
-                    Some(g) => {
-                        if entry.probs != *probs {
-                            entry.groups.reweight_with(ctx, probs, g, reweight_scratch);
-                            entry.probs = probs.clone();
-                        }
-                        stretch_on_graph(
-                            ctx,
-                            probs,
-                            &schedule,
-                            cfg,
-                            g,
-                            &entry.groups,
-                            None,
-                            scratch,
-                        )
-                    }
-                    None => critical_path_fallback(ctx, probs, &schedule, cfg),
-                };
-                stretch_span.end(1);
-                speeds
-            }
-            None => {
-                self.stats.graph_rebuilds += 1;
-                let enum_span = obs.span(track, Stage::PathEnum);
-                if workers > 1 && meter.is_unlimited() {
-                    obs.instant(track, Stage::PathEnumPar, workers as i64);
-                }
-                let enum_start = meter.spent();
-                let built = match ScheduledGraph::build_metered_par(
-                    ctx,
-                    &schedule,
-                    probs,
-                    cfg.path_cap,
-                    workers,
-                    &mut meter,
-                ) {
-                    Ok(b) => b,
-                    Err(e) => return Err(self.note_budget_abort(&obs, track, e)),
-                };
-                let enum_units = meter.spent() - enum_start;
-                let (graph, groups) = match built {
-                    Some(g) => {
-                        let groups = PathGroups::of(&g);
-                        (Some(g), groups)
-                    }
-                    None => (None, PathGroups::default()),
-                };
-                // arg: 1 when the enumeration fit the cap, 0 when it
-                // overflowed (and the critical-path fallback runs).
-                enum_span.end(i64::from(graph.is_some()));
-                let stretch_span = obs.span(track, Stage::Stretch);
-                let speeds = match &graph {
-                    Some(g) => stretch_on_graph(
-                        ctx,
-                        probs,
-                        &schedule,
-                        cfg,
-                        g,
-                        &groups,
-                        None,
-                        &mut self.scratch,
-                    ),
-                    None => critical_path_fallback(ctx, probs, &schedule, cfg),
-                };
-                stretch_span.end(0);
-                if self.graphs.len() == GRAPH_POOL_CAP {
-                    let victim = self
-                        .graphs
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.stamp)
-                        .map(|(i, _)| i)
-                        .expect("a full pool has a least-recently-used entry");
-                    self.graphs.swap_remove(victim);
-                }
-                self.graph_clock += 1;
-                self.graphs.push(GraphEntry {
-                    fp,
-                    stamp: self.graph_clock,
-                    schedule: schedule.clone(),
-                    path_cap: cfg.path_cap,
-                    graph,
-                    groups,
-                    probs: probs.clone(),
-                    enum_units,
-                });
-                speeds
-            }
+        // Layer 3: the pooled stretch (see `stretch_pooled`).
+        let (speeds, via) = match self.stretch_pooled(
+            cfg,
+            ctx,
+            probs,
+            &schedule,
+            GRAPH_POOL_CAP,
+            workers,
+            &mut meter,
+            &obs,
+            track,
+        ) {
+            Ok(done) => done,
+            Err(e) => return Err(self.note_budget_abort(&obs, track, e)),
         };
 
         self.last = Some(LastSolve {
@@ -686,6 +743,22 @@ impl SolverWorkspace {
         obs.observe(Hist::SolveUs, dur_ns as f64 / 1e3);
         Ok(Solution { schedule, speeds })
     }
+}
+
+/// The checks every pipeline makes between mapping and stretching, in the
+/// cold solver's order: the schedule must meet the deadline at full speed,
+/// then the stretch configuration must be valid.
+fn check_stretchable(
+    ctx: &SchedContext,
+    schedule: &Schedule,
+    cfg: &StretchConfig,
+) -> Result<(), SchedError> {
+    let makespan = schedule.makespan();
+    let deadline = ctx.ctg().deadline();
+    if makespan > deadline + 1e-9 {
+        return Err(SchedError::DeadlineUnreachable { makespan, deadline });
+    }
+    validate_config(cfg)
 }
 
 /// [`Stage::Solve`] span args: which warm-start layer answered the solve.

@@ -2293,9 +2293,11 @@ fn group_requests(
 /// Per-worker portfolio racing state: the configured entries and one
 /// private workspace per entry, built exactly like the worker's own DLS
 /// workspace (same obs track, budget, intra-solve workers; the near-miss
-/// memo mirrors the owning engine's choice). Entry workspaces never mix
-/// across schedulers — warm-layer keys carry no scheduler identity, so
-/// sharing one would replay another entry's plans.
+/// memo mirrors the owning engine's choice). The DLS entry uses every warm
+/// layer; HEFT and lookahead keep one pooled scheduled graph in theirs and
+/// ignore the budget; the frame baseline ignores its workspace. Entry
+/// workspaces never mix across schedulers — warm-layer keys carry no
+/// scheduler identity, so sharing one would replay another entry's plans.
 struct RaceState {
     kinds: Vec<SchedulerKind>,
     wss: Vec<SolverWorkspace>,
