@@ -66,15 +66,20 @@ cargo test -q --offline --test serve_overload
 CTG_WORKERS=2 cargo test -q --offline --test serve_overload
 
 echo "==> event-engine determinism matrix (workers x streams x arrivals x caches;"
-echo "    closed-loop == lockstep bit-for-bit)"
+echo "    open-loop summaries == closed-loop summaries)"
 cargo test -q --offline --test serve_events
 CTG_WORKERS=2 cargo test -q --offline --test serve_events
 
-echo "==> serve bench smoke (asserts summaries invariant across engine configs and"
-echo "    engines via --compare-lockstep, runs the 10k-stream open-loop scale row,"
-echo "    writes + validates a telemetry-on chrome trace)"
+echo "==> serve golden pins (both drive loops, every overload configuration, bit"
+echo "    for bit at 1/2/4 workers; plain and with 2 workers forced)"
+cargo test -q --offline --test serve_golden
+CTG_WORKERS=2 cargo test -q --offline --test serve_golden
+
+echo "==> serve bench smoke (asserts summaries invariant across engine configs,"
+echo "    runs the 10k-stream open-loop scale row, writes + validates a"
+echo "    telemetry-on chrome trace)"
 cargo build -q --release --offline -p ctg-bench --bin serve
-CTG_WORKERS=2 ./target/release/serve --smoke --compare-lockstep --trace target/ci_serve_trace.json
+CTG_WORKERS=2 ./target/release/serve --smoke --trace target/ci_serve_trace.json
 test -s target/ci_serve_trace.json
 test -s target/BENCH_serve_smoke.json
 

@@ -4,30 +4,23 @@
 //!
 //! The stream population models a decoder farm: a pool of 8 distinct
 //! drift "movies", each watched by several sessions at different playback
-//! offsets. Same-movie same-tick sessions exercise reschedule
-//! *coalescing*; offset sessions revisit each other's probability regimes
-//! a few hundred ticks apart and exercise the *cross-stream shared cache*
-//! (a per-stream cache cannot serve those — the regime is new to that
-//! session's own history).
+//! offsets. Same-movie sessions — in step or a few hundred ticks apart —
+//! revisit each other's probability regimes and exercise the
+//! *cross-stream shared cache* (a per-stream cache cannot serve those —
+//! the regime is new to that session's own history).
 //!
 //! Reported per stream count: aggregate instances/s and reschedules/s,
-//! per-stream (isolated) vs shared cache hit rates, coalescing factor, and
-//! the speedup over the independent-manager baseline. Determinism is
+//! per-stream (isolated) vs shared cache hit rates, and the speedup over
+//! the independent-manager baseline. Determinism is
 //! asserted, not sampled: per-stream summaries must be bit-identical
 //! across worker counts, shard counts and cache modes. Pass `--smoke` for
 //! a seconds-scale run (CI); numbers land in `BENCH_serve.json`, or in
 //! `target/BENCH_serve_smoke.json` for smoke runs so CI never clobbers
 //! the committed full-run artifact.
 //!
-//! Two event-engine extensions ride along:
-//!
-//! * `--compare-lockstep` re-runs every stream count on the retired
-//!   lockstep engine (asserting bit-equal summaries) and records both
-//!   engines' instance throughput plus the crossover stream count;
-//! * a *scale* row drives 10k (smoke) / 100k (full) short-trace streams
-//!   under Poisson arrivals with a latency SLO — the open-loop regime the
-//!   lockstep engine cannot express — reporting latency percentiles and
-//!   the SLO-violation rate.
+//! A *scale* row rides along: it drives 10k (smoke) / 100k (full)
+//! short-trace streams under Poisson arrivals with a latency SLO,
+//! reporting latency percentiles and the SLO-violation rate.
 
 use ctg_bench::setup::{prepare_mpeg, profile_trace};
 use ctg_model::DecisionVector;
@@ -36,8 +29,8 @@ use ctg_sched::{
     AdaptiveScheduler, OnlineScheduler, SchedulerKind, SolverWorkspace, DEFAULT_PORTFOLIO,
 };
 use ctg_sim::serve::{
-    run_serve, AdmissionConfig, ArrivalConfig, ArrivalKind, CacheMode, EngineKind,
-    QuarantineConfig, ServeConfig, ServeReport, StreamSpec,
+    run_serve, AdmissionConfig, ArrivalConfig, ArrivalKind, CacheMode, QuarantineConfig,
+    ServeConfig, ServeReport, StreamSpec,
 };
 use ctg_sim::{map_ordered, run_adaptive, worker_count, BurstModel, FaultPlan, RunConfig, Runner};
 use ctg_workloads::traces::{self, DriftProfile};
@@ -63,10 +56,9 @@ fn rotated(base: &[DecisionVector], offset: usize) -> Vec<DecisionVector> {
 /// `streams` sessions over a pool of [`SEED_POOL`] drift movies; session
 /// `i` plays movie `i % SEED_POOL` at one of two playback offsets. Beyond
 /// 16 streams the population therefore contains *duplicate* sessions
-/// (several viewers hit play on the same movie at the same moment — the
-/// coalescer's case) and *lagged* sessions 37 ticks apart (the shared
-/// cache's case: the leader inserts each regime's plan, the laggard
-/// replays it).
+/// (several viewers hit play on the same movie at the same moment) and
+/// *lagged* sessions 37 ticks apart — both the shared cache's case: the
+/// leader inserts each regime's plan, the follower replays it.
 fn stream_specs(
     ctx: &ctg_sched::SchedContext,
     streams: usize,
@@ -104,7 +96,6 @@ fn serve_cfg(workers: usize, shards: usize, cache: CacheMode) -> ServeConfig {
         workers,
         shards,
         cache,
-        coalesce: true,
         quantum: THRESHOLD,
         solve_budget: None,
         intra_solve_workers: 1,
@@ -121,7 +112,7 @@ struct Baseline {
 
 /// The pre-serve architecture: one independent `AdaptiveScheduler` (with
 /// its own PR 2 schedule cache) per stream, run over the worker pool.
-/// Nothing is shared, nothing coalesces.
+/// Nothing is shared.
 fn run_independent(
     ctx: &ctg_sched::SchedContext,
     specs: &[StreamSpec],
@@ -319,14 +310,12 @@ struct Row {
     instances: usize,
     inst_per_s: f64,
     resched_per_s: f64,
-    coalescing_factor: f64,
     per_stream_hit_rate: f64,
     shared_hit_rate: f64,
     solver_calls_shared: usize,
     solver_calls_independent: usize,
     baseline_resched_per_s: f64,
     speedup: f64,
-    lockstep_inst_per_s: Option<f64>,
     stages: BTreeMap<&'static str, StageAgg>,
     metrics_json: String,
 }
@@ -526,7 +515,6 @@ portfolio ({streams} streams): {} races, wins {}, energy {:.1} vs dls {:.1} \
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let compare_lockstep = args.iter().any(|a| a == "--compare-lockstep");
     let trace_path: Option<&str> = args.iter().position(|a| a == "--trace").map(|i| {
         args.get(i + 1)
             .expect("--trace requires a file path")
@@ -565,7 +553,7 @@ fn main() {
             ),
         )
         .expect("per-stream serve run");
-        // The full engine: shared striped cache + coalescing.
+        // The full engine: shared striped cache.
         let shared_cache = CacheMode::Shared {
             capacity: SHARED_CAPACITY,
             stripes: SHARED_STRIPES,
@@ -604,28 +592,6 @@ fn main() {
             &format!("{streams}: resharded vs shared"),
         );
         assert_eq!(shared.stats.drift_events, reference.stats.drift_events);
-
-        // Engine comparison: the lockstep engine over the same population
-        // must reproduce the event engine's summaries bit-for-bit (the
-        // closed-loop equivalence contract), and both throughputs go into
-        // the artifact so the crossover is visible.
-        let lockstep_inst_per_s = compare_lockstep.then(|| {
-            let lockstep = run_serve(
-                &ctx,
-                &specs,
-                &ServeConfig {
-                    engine: EngineKind::Lockstep,
-                    ..serve_cfg(workers, streams, shared_cache)
-                },
-            )
-            .expect("lockstep serve run");
-            assert_same_streams(
-                &lockstep,
-                &shared,
-                &format!("{streams}: lockstep vs events"),
-            );
-            lockstep.stats.instances_per_s()
-        });
 
         // Telemetry-on run through the unified `Runner` API: bit-identical
         // streams (asserted) plus a stage-level breakdown for the artifact.
@@ -691,30 +657,24 @@ fn main() {
         }
         println!(
             "{streams:>4} streams: {:>9.0} inst/s  {:>7.0} resched/s  \
-             coalesce x{:.2}  hit iso {:>5.1}% / shared {:>5.1}%  speedup x{:.2}{}",
+             hit iso {:>5.1}% / shared {:>5.1}%  speedup x{:.2}",
             shared.stats.instances_per_s(),
             resched_per_s,
-            shared.stats.coalescing_factor(),
             100.0 * isolated.stats.per_stream_hit_rate(),
             100.0 * shared.stats.shared_hit_rate(),
             speedup,
-            lockstep_inst_per_s
-                .map(|l| format!("  lockstep {l:.0} inst/s"))
-                .unwrap_or_default()
         );
         rows.push(Row {
             streams,
             instances: shared.stats.instances,
             inst_per_s: shared.stats.instances_per_s(),
             resched_per_s,
-            coalescing_factor: shared.stats.coalescing_factor(),
             per_stream_hit_rate: isolated.stats.per_stream_hit_rate(),
             shared_hit_rate: shared.stats.shared_hit_rate(),
             solver_calls_shared: shared.stats.solver_calls,
             solver_calls_independent: reference.stats.solver_calls,
             baseline_resched_per_s,
             speedup,
-            lockstep_inst_per_s,
             stages,
             metrics_json,
         });
@@ -736,12 +696,10 @@ fn main() {
             "aggregate reschedule throughput must be >= 2x the independent \
              baseline at 64 streams, got x{speedup_at_64:.2}"
         );
-        // The event engine solves on each stream's own warm workspace, so
-        // small populations must no longer pay the lockstep engine's
-        // cross-stream warm-start thrash.
+        // Small populations must at least match one manager per stream.
         assert!(
             speedup_at_8 >= 1.0,
-            "the event engine must at least match the independent baseline \
+            "the serve engine must at least match the independent baseline \
              at 8 streams, got x{speedup_at_8:.2}"
         );
     }
@@ -773,8 +731,7 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"streams\": {}, \"instances\": {}, \"inst_per_s\": {:.1}, \
-             \"lockstep_inst_per_s\": {}, \
-             \"resched_per_s\": {:.1}, \"coalescing_factor\": {:.3}, \
+             \"resched_per_s\": {:.1}, \
              \"per_stream_hit_rate\": {:.4}, \"shared_hit_rate\": {:.4}, \
              \"solver_calls_shared\": {}, \"solver_calls_independent\": {}, \
              \"baseline_resched_per_s\": {:.1}, \"speedup_vs_independent\": {:.3}, \
@@ -782,11 +739,7 @@ fn main() {
             r.streams,
             r.instances,
             r.inst_per_s,
-            r.lockstep_inst_per_s
-                .map(|l| format!("{l:.1}"))
-                .unwrap_or_else(|| "null".to_string()),
             r.resched_per_s,
-            r.coalescing_factor,
             r.per_stream_hit_rate,
             r.shared_hit_rate,
             r.solver_calls_shared,
@@ -798,15 +751,7 @@ fn main() {
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
-    // Crossover: the smallest stream count where the event engine's
-    // throughput meets or beats the lockstep engine's (null without
-    // --compare-lockstep or when lockstep wins everywhere).
-    let crossover = rows
-        .iter()
-        .find(|r| r.lockstep_inst_per_s.is_some_and(|l| r.inst_per_s >= l))
-        .map(|r| r.streams.to_string())
-        .unwrap_or_else(|| "null".to_string());
-    json.push_str(&format!("  ],\n  \"crossover_streams\": {crossover},\n"));
+    json.push_str("  ],\n");
     json.push_str("  \"scale\": [\n");
     for (i, scale) in scale_rows.iter().enumerate() {
         json.push_str(&format!(

@@ -4,7 +4,7 @@
 //! served stream must reproduce `run_adaptive` exactly.
 //!
 //! The reference point of every matrix is the most sequential engine
-//! (1 worker, 1 shard, no cache, coalescing on); everything else must
+//! (1 worker, 1 shard, no cache); everything else must
 //! merely be *faster*, never *different*.
 
 use adaptive_dvfs::ctg::{BranchProbs, DecisionVector};
@@ -16,8 +16,8 @@ use adaptive_dvfs::workloads::mpeg;
 use adaptive_dvfs::workloads::traces::{self, DriftProfile};
 
 /// Per-stream drifting traces: a handful of distinct drift seeds reused
-/// across streams, so same-seed streams move in lockstep and the engine
-/// has real coalescing and cross-stream replay opportunities (the serving
+/// across streams, so same-seed streams move in step and the engine
+/// has real cross-stream replay opportunities (the serving
 /// scenario: many sessions playing the same few movies).
 fn stream_specs(
     ctx: &SchedContext,
@@ -81,7 +81,6 @@ fn summaries_invariant_across_workers_streams_faults_and_caches() {
                     workers: 1,
                     shards: 1,
                     cache: CacheMode::Off,
-                    coalesce: true,
                     quantum: 0.1,
                     ..ServeConfig::default()
                 },
@@ -109,7 +108,6 @@ fn summaries_invariant_across_workers_streams_faults_and_caches() {
                                 workers,
                                 shards,
                                 cache,
-                                coalesce: true,
                                 quantum: 0.1,
                                 ..ServeConfig::default()
                             },
@@ -129,25 +127,6 @@ fn summaries_invariant_across_workers_streams_faults_and_caches() {
                     }
                 }
             }
-            // Coalescing itself must not change results either.
-            let uncoalesced = run_serve(
-                &ctx,
-                &specs,
-                &ServeConfig {
-                    workers: 2,
-                    shards: 5,
-                    cache: CacheMode::Off,
-                    coalesce: false,
-                    quantum: 0.1,
-                    ..ServeConfig::default()
-                },
-            )
-            .unwrap();
-            assert_summaries_eq(
-                &uncoalesced.streams,
-                &reference.streams,
-                &format!("streams={streams} faults={faults} uncoalesced"),
-            );
         }
     }
 }
@@ -178,7 +157,6 @@ fn mpeg_streams_invariant_and_shared_cache_fires() {
             workers: 1,
             shards: 1,
             cache: CacheMode::Off,
-            coalesce: true,
             quantum: 0.1,
             ..ServeConfig::default()
         },
@@ -199,7 +177,6 @@ fn mpeg_streams_invariant_and_shared_cache_fires() {
                 capacity: 256,
                 stripes: 8,
             },
-            coalesce: true,
             quantum: 0.1,
             ..ServeConfig::default()
         },
@@ -207,7 +184,7 @@ fn mpeg_streams_invariant_and_shared_cache_fires() {
     .unwrap();
     assert_summaries_eq(&shared.streams, &reference.streams, "mpeg shared 4w");
     assert!(
-        shared.stats.coalesced_requests > 0 || shared.stats.shared_hits > 0,
+        shared.stats.shared_hits > 0,
         "seed-sharing MPEG streams must amortize solves: {:?}",
         shared.stats
     );
@@ -251,7 +228,6 @@ fn single_stream_serve_matches_run_adaptive() {
                     capacity: 64,
                     stripes: 2,
                 },
-                coalesce: true,
                 quantum: 0.1,
                 ..ServeConfig::default()
             },

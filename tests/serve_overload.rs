@@ -8,7 +8,8 @@
 //! 2. **Overload decisions are deterministic**: with budgets, admission
 //!    control and quarantine all engaged, per-stream summaries — every
 //!    shed, abort and quarantine decision included — are invariant across
-//!    worker counts, shard counts, cache modes and coalescing.
+//!    worker counts, shard counts and cache modes, and every drift event
+//!    is exactly one of a shed, a per-stream cache hit or a request.
 //! 3. **Summaries round-trip through the hand-rolled JSON layer**:
 //!    `to_json` output re-parsed with `ctg_obs::json` reproduces every
 //!    serialized field, new overload counters included.
@@ -18,13 +19,14 @@ use adaptive_dvfs::obs::json;
 use adaptive_dvfs::sched::test_util::example1_context;
 use adaptive_dvfs::sched::{AdaptiveScheduler, OnlineScheduler, SchedContext, SolverWorkspace};
 use adaptive_dvfs::sim::serve::{
-    run_serve, AdmissionConfig, CacheMode, QuarantineConfig, ServeConfig, StreamSpec, StreamSummary,
+    run_serve, AdmissionConfig, ArrivalConfig, ArrivalKind, CacheMode, QuarantineConfig,
+    ServeConfig, ServeStats, StreamSpec, StreamSummary,
 };
 use adaptive_dvfs::sim::{BurstModel, DegradeConfig, FaultPlan, RunConfig, RunSummary, Runner};
 use adaptive_dvfs::workloads::traces::{self, DriftProfile};
 
 /// Drifting streams over a small seed pool, so same-seed streams move in
-/// lockstep and pile identical same-tick requests onto the admission gate.
+/// step and pile identical same-tick requests onto the admission gate.
 fn stream_specs(ctx: &SchedContext, streams: usize, len: usize, faults: bool) -> Vec<StreamSpec> {
     (0..streams)
         .map(|i| {
@@ -48,7 +50,6 @@ fn base_cfg(workers: usize, shards: usize, cache: CacheMode) -> ServeConfig {
         workers,
         shards,
         cache,
-        coalesce: true,
         quantum: 0.1,
         solve_budget: None,
         intra_solve_workers: 1,
@@ -78,6 +79,17 @@ fn assert_streams_eq(a: &[StreamSummary], b: &[StreamSummary], what: &str) {
             "{what}: stream {i} energy bits"
         );
     }
+}
+
+/// Every drift event is exactly one of a shed, a per-stream cache hit or
+/// a request, so the shed rate never exceeds 1.
+fn assert_drifts_partitioned(s: &ServeStats) {
+    assert_eq!(
+        s.drift_events,
+        s.shed_requests + s.per_stream_hits + s.requests,
+        "drift accounting: {s:?}"
+    );
+    assert!(s.shed_rate() <= 1.0, "shed rate above 1: {s:?}");
 }
 
 /// Contract 1: enabling the overload layer with thresholds no run can
@@ -162,7 +174,7 @@ fn infinite_budget_is_equivalent_to_no_budget() {
 /// Contract 2: the full overload matrix. A tight budget plus a low
 /// high-water mark plus a touchy breaker produce real shedding, aborts and
 /// quarantines — and every one of those decisions is invariant across
-/// workers, shards, cache modes and coalescing.
+/// workers, shards and cache modes.
 #[test]
 fn overload_decisions_invariant_across_engine_configurations() {
     let (ctx, _, _) = example1_context();
@@ -170,8 +182,7 @@ fn overload_decisions_invariant_across_engine_configurations() {
     // Below the cheapest re-solve in this workload most requests abort;
     // half the typical cold cost is tight enough to strike reliably.
     let budget = probe_cost(&ctx, &specs[0].initial_probs) / 2;
-    let overload = |workers: usize, shards: usize, cache: CacheMode, coalesce: bool| ServeConfig {
-        coalesce,
+    let overload = |workers: usize, shards: usize, cache: CacheMode| ServeConfig {
         solve_budget: Some(budget),
         admission: Some(AdmissionConfig { high_water: 2 }),
         quarantine: Some(QuarantineConfig {
@@ -182,10 +193,10 @@ fn overload_decisions_invariant_across_engine_configurations() {
         }),
         ..base_cfg(workers, shards, cache)
     };
-    let reference = run_serve(&ctx, &specs, &overload(1, 1, CacheMode::Off, true)).unwrap();
+    let reference = run_serve(&ctx, &specs, &overload(1, 1, CacheMode::Off)).unwrap();
     assert!(
         reference.stats.shed_requests > 0,
-        "lockstep streams over high_water=2 must shed: {:?}",
+        "same-tick drifts over high_water=2 must shed: {:?}",
         reference.stats
     );
     assert!(
@@ -208,8 +219,8 @@ fn overload_decisions_invariant_across_engine_configurations() {
     ] {
         for &workers in &[1usize, 2, 4] {
             for &shards in &[1usize, 5, 16] {
-                let report =
-                    run_serve(&ctx, &specs, &overload(workers, shards, cache, true)).unwrap();
+                let report = run_serve(&ctx, &specs, &overload(workers, shards, cache)).unwrap();
+                assert_drifts_partitioned(&report.stats);
                 assert_streams_eq(
                     &report.streams,
                     &reference.streams,
@@ -228,18 +239,47 @@ fn overload_decisions_invariant_across_engine_configurations() {
             }
         }
     }
-    // Budget aborts are counted per requester, so disabling coalescing
-    // must not move a single counter either.
-    let uncoalesced = run_serve(&ctx, &specs, &overload(2, 5, CacheMode::Off, false)).unwrap();
-    assert_streams_eq(
-        &uncoalesced.streams,
-        &reference.streams,
-        "overload uncoalesced",
-    );
-    assert_eq!(
-        uncoalesced.stats.budget_exceeded,
-        reference.stats.budget_exceeded
-    );
+}
+
+/// Contract 2b: queue-depth admission under open-loop arrivals keeps the
+/// same drift accounting at every cache mode and worker count.
+#[test]
+fn open_loop_admission_partitions_every_drift_event() {
+    let (ctx, _, _) = example1_context();
+    let specs = stream_specs(&ctx, 8, 48, false);
+    let arrival = ArrivalConfig {
+        kind: ArrivalKind::Poisson {
+            rate: 1.5 / ctx.ctg().deadline(),
+        },
+        ..ArrivalConfig::default()
+    };
+    for cache in [
+        CacheMode::Off,
+        CacheMode::PerStream { capacity: 16 },
+        CacheMode::Shared {
+            capacity: 64,
+            stripes: 4,
+        },
+    ] {
+        for workers in [1usize, 2, 4] {
+            let report = run_serve(
+                &ctx,
+                &specs,
+                &ServeConfig {
+                    admission: Some(AdmissionConfig { high_water: 1 }),
+                    arrival: arrival.clone(),
+                    ..base_cfg(workers, 5, cache)
+                },
+            )
+            .unwrap();
+            assert!(
+                report.stats.shed_requests > 0,
+                "queues over high_water=1 must shed: {:?}",
+                report.stats
+            );
+            assert_drifts_partitioned(&report.stats);
+        }
+    }
 }
 
 /// DESIGN.md §14 pin: fault-burst intensity moves *fault* pressure, not
