@@ -10,8 +10,9 @@ use ctg_model::BranchProbs;
 
 /// How far a worst-case makespan may exceed its bar (the deadline, or an
 /// incumbent's makespan) and still count as meeting it. The portfolio
-/// race's schedulability test and the adaptive manager's adoption judge
-/// both read it, so they can never disagree on a plan.
+/// race's schedulability test, the adaptive manager's adoption judge and
+/// [`crate::validate_solution`] all read it, so they can never disagree on
+/// a plan.
 pub(crate) const SCHEDULABILITY_TOL: f64 = 1e-6;
 
 /// A complete scheduling/DVFS solution: mapping + order + per-task speeds.

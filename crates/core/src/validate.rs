@@ -6,6 +6,7 @@
 //! for tests, debugging and as a safety net around custom schedulers.
 
 use crate::context::SchedContext;
+use crate::online::SCHEDULABILITY_TOL;
 use crate::schedule::Schedule;
 use crate::sgraph::ScheduledGraph;
 use crate::speed::SpeedAssignment;
@@ -187,7 +188,7 @@ pub fn validate_solution(
         let deadline = ctx.ctg().deadline();
         for p in graph.paths() {
             let delay = p.stretched_delay(ctx, schedule, speeds);
-            if delay > deadline + 1e-6 {
+            if delay > deadline + SCHEDULABILITY_TOL {
                 return Err(ScheduleViolation::DeadlineExceeded { delay, deadline });
             }
         }
